@@ -73,7 +73,9 @@ class SymmetricGaussian:
 
     def __post_init__(self):
         if not (math.isfinite(self.variance) and self.variance > 0):
-            raise ValueError(f"alphabet variance must be positive, got {self.variance}")
+            raise ValueError(
+                f"alphabet variance must be finite and positive, got {self.variance}"
+            )
 
 
 @dataclass(frozen=True)
@@ -176,8 +178,8 @@ def gaussian_alphabet_fidelity(t1: float, v: float) -> float:
     """
     if not 0.0 < t1 <= 1.0:
         raise ValueError(f"t1 must lie in (0, 1], got {t1}")
-    if v <= 0:
-        raise ValueError(f"alphabet variance must be positive, got {v}")
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"alphabet variance must be finite and positive, got {v}")
     return 2.0 * t1 / (2.0 * v * (1.0 - math.sqrt(2.0 * t1)) ** 2 + t1 + 1.0)
 
 
@@ -195,8 +197,8 @@ def optimal_gaussian_fidelity(v: float) -> OptimalGaussian:
     boundary solution t1 = 1 (bare beam splitter, zero gain) gives
     F = 1/((3 - 2 sqrt(2)) v + 1).
     """
-    if v <= 0:
-        raise ValueError(f"alphabet variance must be positive, got {v}")
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"alphabet variance must be finite and positive, got {v}")
     if v >= BEAM_SPLITTER_THRESHOLD:
         t1 = 0.5 * (1.0 / (2.0 * v) + 1.0) ** 2
         return OptimalGaussian((4.0 * v + 2.0) / (6.0 * v + 1.0), t1, Regime.FEEDFORWARD)
@@ -218,8 +220,8 @@ def classical_gaussian_alphabet(v: float) -> ClassicalGaussian:
     g = 2v/(1+2v) with F = (1+2v)/(1+4v); derived here, not a quoted value,
     and checked against the integration oracle.
     """
-    if v <= 0:
-        raise ValueError(f"alphabet variance must be positive, got {v}")
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"alphabet variance must be finite and positive, got {v}")
     return ClassicalGaussian((1.0 + 2.0 * v) / (1.0 + 4.0 * v), 2.0 * v / (1.0 + 2.0 * v))
 
 

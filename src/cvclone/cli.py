@@ -154,7 +154,7 @@ def cmd_sweep(args) -> int:
         lines += [",".join(_fmt(row[k]) for k in SWEEP_HEADER.split(",")) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(rows, indent=2) + "\n"
+        text = json.dumps(rows, indent=2, allow_nan=False) + "\n"
     _emit(text, _merge(args, "out", "-"))
     return 0
 
@@ -181,7 +181,7 @@ def cmd_optimize(args) -> int:
         "certificate": result.certificate,
         "iterations": result.iterations,
     }
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    sys.stdout.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
     return 0
 
 
@@ -228,7 +228,7 @@ def cmd_phase_known(args) -> int:
             "dn_p": bound.dn_p,
         },
     }
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    sys.stdout.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
     return 0
 
 
@@ -250,8 +250,8 @@ def cmd_mc(args) -> int:
     eta = float(_merge(args, "eta", 1.0))
     vis = float(_merge(args, "visibility", 1.0))
     elec = float(_merge(args, "elec-noise", 0.0))
-    if elec < 0:
-        raise UsageError("elec-noise must be non-negative")
+    if not (math.isfinite(elec) and elec >= 0):
+        raise UsageError("elec-noise must be finite and non-negative")
     workers = int(_merge(args, "workers", 1))
 
     if phase_known:
@@ -276,7 +276,7 @@ def cmd_mc(args) -> int:
         "se": {k: row["se"] for k, row in table.items()},
         "z_scores": {k: row["z"] for k, row in table.items()},
     }
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    sys.stdout.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
     worst = max(abs(z) for z in report["z_scores"].values())
     return 1 if worst > 5.0 else 0
 

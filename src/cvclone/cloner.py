@@ -247,8 +247,8 @@ def heisenberg_clone_stats(cfg: ClonerConfig, elec_noise: float = 0.0) -> CloneS
     """
     if cfg.t1 == 0.0:
         raise ValueError("t1 = 0 requires infinite feedforward gain")
-    if elec_noise < 0:
-        raise ValueError("elec_noise must be non-negative")
+    if not (math.isfinite(elec_noise) and elec_noise >= 0):
+        raise ValueError(f"elec_noise must be finite and non-negative, got {elec_noise}")
     c = _coefficients(cfg)
     vx3, vp3 = c.anc3
     var_dx = float(c.cx @ (c.cx * c.varx)) + c.g_x**2 * elec_noise
@@ -340,8 +340,8 @@ class _TrajectoryModel:
 def _trajectory_model(cfg: ClonerConfig, elec_noise: float = 0.0) -> _TrajectoryModel:
     if cfg.t1 == 0.0:
         raise ValueError("t1 = 0 requires infinite feedforward gain")
-    if elec_noise < 0:
-        raise ValueError("elec_noise must be non-negative")
+    if not (math.isfinite(elec_noise) and elec_noise >= 0):
+        raise ValueError(f"elec_noise must be finite and non-negative, got {elec_noise}")
     c = _coefficients(cfg)
     vx3, vp3 = c.anc3
 

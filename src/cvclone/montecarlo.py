@@ -5,10 +5,16 @@ with sampled feedforward outcomes and records the resulting clone means;
 gains, added noises and the average fidelity are then estimated empirically
 and compared against the analytic statistics.
 
-Randomness is organised as counted streams: trajectory i uses the generator
-seeded by (seed, i), so results are bit-identical across runs, chunkings and
-worker counts, and the per-shot draw order is fixed (alphabet draws, then
-the X outcome, its electronic noise, the P outcome, its noise).
+Randomness is organised as block-keyed streams, the counter-based layout of
+Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11): the
+trajectories are cut into fixed blocks of 4096, block b draws all its
+normals in one call from the generator seeded by (seed, b), and trajectory
+i takes row i mod 4096 of block i // 4096 (see ``trajectory_normals``).
+Results are therefore bit-identical across runs and worker counts, and
+trajectory i is the same whatever the trajectory count.  Within a row the
+draw order is fixed: alphabet draws, then the X outcome, its electronic
+noise, the P outcome, its noise.  Earlier versions seeded one generator per
+trajectory with (seed, i), so a given seed now yields different samples.
 
 Because the measurement conditioning is Gaussian, the per-shot clone
 covariance is outcome independent; the per-shot state is fully described by
@@ -55,10 +61,15 @@ KNOWN_PHASE_AMPLITUDES = (0.0, 2.0, 4.0, 8.0)
 
 _CHUNK = 4096
 
+# largest trajectory count run_batch accepts; its docstring gives the memory
+MAX_TRAJECTORIES = 10**8
+
 __all__ = [
     "KNOWN_PHASE_AMPLITUDES",
+    "MAX_TRAJECTORIES",
     "TrajectoryBatch",
     "run_batch",
+    "trajectory_normals",
     "empirical_fidelity",
     "compare_with_analytic",
     "reproduce_figure3",
@@ -107,20 +118,34 @@ def _alphabet_draws(alphabet: Alphabet) -> int:
     raise ValueError(f"alphabet {alphabet!r} cannot be sampled")
 
 
-def _input_means(alphabet: Alphabet, z: np.ndarray, start: int, count: int) -> np.ndarray:
-    means = np.empty((count, 2))
+def _fill_input_means(alphabet: Alphabet, z: np.ndarray, start: int, out: np.ndarray) -> None:
     if isinstance(alphabet, SymmetricGaussian):
-        means[:] = 2.0 * math.sqrt(alphabet.variance) * z
+        out[:] = 2.0 * math.sqrt(alphabet.variance) * z
     elif isinstance(alphabet, Single):
-        means[:, 0] = alphabet.x_mean
-        means[:, 1] = alphabet.p_mean
+        out[:, 0] = alphabet.x_mean
+        out[:, 1] = alphabet.p_mean
     elif isinstance(alphabet, KnownPhase):
         grid = np.asarray(KNOWN_PHASE_AMPLITUDES)
-        means[:, 0] = grid[(start + np.arange(count)) % len(grid)]
-        means[:, 1] = 0.0
+        out[:, 0] = grid[(start + np.arange(len(out))) % len(grid)]
+        out[:, 1] = 0.0
     else:
         raise ValueError(f"alphabet {alphabet!r} cannot be sampled")
-    return means
+
+
+def _block_normals(seed: int, block: int, k: int) -> np.ndarray:
+    return np.random.default_rng((seed, block)).standard_normal((_CHUNK, k))
+
+
+def trajectory_normals(seed: int, i: int, k: int) -> np.ndarray:
+    """The ``k`` standard normals trajectory ``i`` consumes, in draw order.
+
+    Row ``i % 4096`` of the block drawn from ``default_rng((seed, i // 4096))``;
+    ``k`` is the row width of the batch (alphabet draws plus one or two
+    outcomes, each followed by its electronic noise when that is on).
+    """
+    if i < 0:
+        raise ValueError(f"trajectory index must be non-negative, got {i}")
+    return _block_normals(seed, i // _CHUNK, k)[i % _CHUNK].copy()
 
 
 def run_batch(
@@ -134,15 +159,21 @@ def run_batch(
     """Simulate ``n_traj`` trajectories and aggregate the clone statistics.
 
     The per-shot model is the affine form extracted from the circuit
-    (outcome sampling, Gaussian conditioning, feedforward displacement);
-    chunks of trajectories may be evaluated by a thread pool, with a fixed
-    chunk layout and reduction order so the result is independent of
-    ``workers``.
+    (outcome sampling, Gaussian conditioning, feedforward displacement).
+    Blocks of 4096 trajectories each take one bulk normal draw keyed by
+    (seed, block) and write their rows straight into the record arrays;
+    a thread pool may fill the blocks, and since every block owns its
+    stream and its rows the result is independent of ``workers``.
+
+    ``n_traj`` may be at most ``MAX_TRAJECTORIES``: the records hold 48
+    bytes per trajectory (40 when only the X outcome is measured), 4.8 GB
+    at the bound, and aggregation briefly needs a few more arrays of 8
+    bytes per trajectory.  ``elec_noise`` must be finite and non-negative.
     """
     if isinstance(alphabet, FlatLimit):
         raise ValueError("the flat limit is an analytic limit and cannot be sampled")
-    if n_traj < 1:
-        raise ValueError(f"n_traj must be positive, got {n_traj}")
+    if not 1 <= n_traj <= MAX_TRAJECTORIES:
+        raise ValueError(f"n_traj must lie in [1, {MAX_TRAJECTORIES}], got {n_traj}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
 
@@ -151,40 +182,39 @@ def run_batch(
     has_el = elec_noise > 0.0
     k = n_alpha + 1 + int(has_el) + (1 + int(has_el)) * int(model.has_p_outcome)
 
-    starts = list(range(0, n_traj, _CHUNK))
+    input_means = np.empty((n_traj, 2))
+    outcomes = np.empty((n_traj, 1 + int(model.has_p_outcome)))
+    clone_means = np.empty((n_traj, 2))
 
-    def simulate(start: int):
-        count = min(_CHUNK, n_traj - start)
-        z = np.empty((count, k))
-        for j in range(count):
-            z[j] = np.random.default_rng((seed, start + j)).standard_normal(k)
-        means = _input_means(alphabet, z[:, :n_alpha], start, count)
+    starts = range(0, n_traj, _CHUNK)
+
+    def simulate(start: int) -> None:
+        stop = min(start + _CHUNK, n_traj)
+        z = _block_normals(seed, start // _CHUNK, k)[: stop - start]
+        means = input_means[start:stop]
+        _fill_input_means(alphabet, z[:, :n_alpha], start, means)
         col = n_alpha
         x_m = model.out_coeff_x * means[:, 0] + math.sqrt(model.out_var_x) * z[:, col]
         col += 1
         x_el = math.sqrt(elec_noise) * z[:, col] if has_el else 0.0
         col += int(has_el)
-        clone_x = model.ax * means[:, 0] + model.bx * x_m + model.ex * x_el
+        outcomes[start:stop, 0] = x_m
+        clone_means[start:stop, 0] = model.ax * means[:, 0] + model.bx * x_m + model.ex * x_el
         if model.has_p_outcome:
             p_m = model.out_coeff_p * means[:, 1] + math.sqrt(model.out_var_p) * z[:, col]
             col += 1
             p_el = math.sqrt(elec_noise) * z[:, col] if has_el else 0.0
-            clone_p = model.ap * means[:, 1] + model.bp * p_m + model.ep * p_el
-            outs = np.column_stack([x_m, p_m])
+            outcomes[start:stop, 1] = p_m
+            clone_means[start:stop, 1] = model.ap * means[:, 1] + model.bp * p_m + model.ep * p_el
         else:
-            clone_p = model.ap * means[:, 1]
-            outs = x_m[:, None]
-        return means, outs, np.column_stack([clone_x, clone_p])
+            clone_means[start:stop, 1] = model.ap * means[:, 1]
 
     if workers == 1 or len(starts) == 1:
-        parts = [simulate(s) for s in starts]
+        for start in starts:
+            simulate(start)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(simulate, starts))
-
-    input_means = np.concatenate([p[0] for p in parts])
-    outcomes = np.concatenate([p[1] for p in parts])
-    clone_means = np.concatenate([p[2] for p in parts])
+            list(pool.map(simulate, starts))
 
     agg = _aggregate(input_means, clone_means, model.cond_var)
     return TrajectoryBatch(
@@ -319,8 +349,6 @@ def reproduce_figure3(
     """
     rows = []
     for i, v in enumerate(v_grid):
-        if v <= 0:
-            raise ValueError(f"alphabet variance must be positive, got {v}")
         opt = optimal_gaussian_fidelity(v)
         ideal_cfg = gaussian_machine(opt.t1)
         lossy_cfg = gaussian_machine(opt.t1, eta_ff, visibility)

@@ -114,8 +114,8 @@ def optimize_t1(v: float, grid_points: int = 64) -> OptimizationResult:
     alphabets.  The certificate reports gaps against the piecewise closed
     form of the optimum.
     """
-    if v <= 0:
-        raise ValueError(f"alphabet variance must be positive, got {v}")
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"alphabet variance must be finite and positive, got {v}")
 
     def objective(t1: float) -> float:
         return benchmarks.gaussian_alphabet_fidelity(t1, v)
@@ -227,8 +227,8 @@ def heterodyne_reprepare_fidelity(gain: float, v: float) -> float:
     exp(-delta^2/4) to the overlap; the full fidelity is the product of the
     two identical quadrature averages.
     """
-    if v <= 0:
-        raise ValueError(f"alphabet variance must be positive, got {v}")
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"alphabet variance must be finite and positive, got {v}")
     xbar = math.sqrt(2.0 * 4.0 * v) * _GH_NODES[:, None]
     noise = math.sqrt(2.0 * 2.0) * _GH_NODES[None, :]
     weights = (_GH_WEIGHTS[:, None] * _GH_WEIGHTS[None, :]) / math.pi

@@ -117,6 +117,13 @@ def test_optimize_rejects_bad_variance(capsys):
     assert code == 2 and "positive" in err
 
 
+@pytest.mark.parametrize("v", ["inf", "nan"])
+def test_optimize_rejects_non_finite_variance(capsys, v):
+    code, out, err = run_cli(capsys, "optimize", "--V", v)
+    assert code == 2 and out == ""
+    assert "alphabet variance must be finite and positive" in err
+
+
 def test_phase_known_vacuum_report(capsys):
     code, out, _ = run_cli(capsys, "phase-known", "--ancilla", "vacuum")
     assert code == 0
@@ -176,6 +183,31 @@ def test_mc_usage_errors(capsys):
         capsys, "mc", "--V", "1.72", "--phase-known", "--trajectories", "10", "--seed", "1"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("elec", ["inf", "nan", "-0.5"])
+def test_mc_rejects_bad_electronic_noise(capsys, elec):
+    code, out, err = run_cli(
+        capsys, "mc", "--phase-known", "--trajectories", "1000", "--elec-noise", elec
+    )
+    assert code == 2 and out == ""
+    assert "elec-noise" in err
+
+
+def test_mc_never_prints_non_finite_json(capsys, monkeypatch):
+    def nan_table(batch):
+        return {"fidelity": {"empirical": math.nan, "analytic": 0.5, "se": 0.1, "z": 0.0}}
+
+    monkeypatch.setattr(cli.montecarlo, "compare_with_analytic", nan_table)
+    code, out, err = run_cli(capsys, "mc", "--V", "1.72", "--trajectories", "100")
+    assert code == 2 and out == ""
+    assert "JSON" in err
+
+
+def test_mc_rejects_trajectory_count_above_the_bound(capsys):
+    code, out, err = run_cli(capsys, "mc", "--V", "1.72", "--trajectories", str(10**11))
+    assert code == 2 and out == ""
+    assert "n_traj" in err
 
 
 def test_seed_from_environment(capsys, monkeypatch):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cvclone import montecarlo
 from cvclone.benchmarks import (
     FlatLimit,
     KnownPhase,
@@ -21,12 +24,14 @@ from cvclone.cloner import (
 from cvclone.gaussian import coherent
 from cvclone.montecarlo import (
     KNOWN_PHASE_AMPLITUDES,
+    MAX_TRAJECTORIES,
     TrajectoryBatch,
     compare_with_analytic,
     empirical_fidelity,
     reproduce_figure3,
     reproduce_figure4,
     run_batch,
+    trajectory_normals,
 )
 
 SQ85 = (math.sqrt(8 / 5), math.sqrt(5 / 8))
@@ -42,6 +47,23 @@ def test_run_batch_validates_arguments():
         run_batch(cfg, SymmetricGaussian(1.0), 100, seed=1, workers=0)
 
 
+def test_run_batch_bounds_trajectory_count_before_allocating(monkeypatch):
+    cfg, alphabet = gaussian_machine(0.5), SymmetricGaussian(1.0)
+    # rejected by the bound, not by a failed allocation of ~4.8 TB of records
+    with pytest.raises(ValueError, match=str(MAX_TRAJECTORIES)):
+        run_batch(cfg, alphabet, 10**11, seed=1)
+    monkeypatch.setattr(montecarlo, "MAX_TRAJECTORIES", 5000)
+    assert run_batch(cfg, alphabet, 5000, seed=1).n_traj == 5000
+    with pytest.raises(ValueError, match="n_traj"):
+        run_batch(cfg, alphabet, 5001, seed=1)
+
+
+@pytest.mark.parametrize("elec", [math.inf, math.nan, -0.1])
+def test_run_batch_rejects_bad_electronic_noise(elec):
+    with pytest.raises(ValueError, match="elec_noise"):
+        run_batch(phase_known_machine(), KnownPhase(), 100, seed=1, elec_noise=elec)
+
+
 def test_single_state_batch_matches_analytic():
     batch = run_batch(gaussian_machine(0.5), Single(2.0, 0.0), 100_000, seed=11)
     assert batch.lambda_x == pytest.approx(1.0, abs=0.01)
@@ -54,16 +76,28 @@ def test_single_state_batch_matches_analytic():
         assert abs(row["z"]) <= 4.0
 
 
+class _Replay:
+    """Stands in for the circuit's generator: hands out the normals that
+    trajectory i of a batch consumes, one per ``standard_normal()`` call."""
+
+    def __init__(self, seed, i, k):
+        self._draws = iter(trajectory_normals(seed, i, k))
+
+    def standard_normal(self):
+        return float(next(self._draws))
+
+
 def test_batch_trajectories_match_explicit_circuit_runs():
     # the vectorised affine path and the step-by-step Gaussian circuit
-    # consume identical streams and must produce the same shots
+    # consume identical streams and must produce the same shots, on both
+    # sides of the first block boundary
     cfg = gaussian_machine(0.7, anc1=(1.5, 1.4 / 1.5), anc3=(0.8, 1.25))
     alphabet = Single(2.0, -1.0)
-    seed, n = 404, 200
+    seed, n = 404, 4100
     batch = run_batch(cfg, alphabet, n, seed=seed)
     circuit = build_circuit(cfg, coherent(2.0, -1.0))
-    for i in range(n):
-        records, state = circuit.run(np.random.default_rng((seed, i)))
+    for i in [*range(200), 4095, 4096, 4099]:
+        records, state = circuit.run(_Replay(seed, i, 2))
         assert records[0].outcome == pytest.approx(batch.outcomes[i, 0], abs=1e-9)
         assert records[1].outcome == pytest.approx(batch.outcomes[i, 1], abs=1e-9)
         assert state.mode_mean(0)[0] == pytest.approx(batch.clone_means[i, 0], abs=1e-9)
@@ -78,9 +112,51 @@ def test_batch_trajectories_match_circuit_with_loss_and_elec_noise():
     batch = run_batch(cfg, Single(3.0, 1.0), n, seed=seed, elec_noise=0.4)
     circuit = build_circuit(cfg, coherent(3.0, 1.0))
     for i in range(0, n, 7):
-        _, state = circuit.run(np.random.default_rng((seed, i)), elec_noise=0.4)
+        # X outcome, its electronic noise, P outcome, its electronic noise
+        _, state = circuit.run(_Replay(seed, i, 4), elec_noise=0.4)
         assert state.mode_mean(0)[0] == pytest.approx(batch.clone_means[i, 0], abs=1e-9)
         assert state.mode_mean(0)[1] == pytest.approx(batch.clone_means[i, 1], abs=1e-9)
+
+
+def test_trajectory_normals_are_rows_of_the_block_stream():
+    block = np.random.default_rng((5, 1)).standard_normal((4096, 3))
+    assert trajectory_normals(5, 4096, 3).tobytes() == block[0].tobytes()
+    assert trajectory_normals(5, 8191, 3).tobytes() == block[4095].tobytes()
+    with pytest.raises(ValueError):
+        trajectory_normals(5, -1, 3)
+
+
+@pytest.mark.parametrize(
+    "cfg, alphabet",
+    [
+        (gaussian_machine(0.83, eta_ff=0.95, visibility=0.99), SymmetricGaussian(1.72)),
+        (phase_known_machine(eta_ff=0.95, visibility=0.99), KnownPhase()),
+    ],
+    ids=["gaussian", "known-phase"],
+)
+def test_records_are_prefixes_of_a_longer_run(cfg, alphabet):
+    # trajectory i is the same whatever n is; for the known-phase alphabet
+    # this also pins the amplitude grid to the global index i
+    full = run_batch(cfg, alphabet, 10_000, seed=17, elec_noise=0.1)
+    for n in (1, 4095, 4096, 4097, 10_000):
+        part = run_batch(cfg, alphabet, n, seed=17, elec_noise=0.1)
+        assert part.input_means.tobytes() == full.input_means[:n].tobytes()
+        assert part.clone_means.tobytes() == full.clone_means[:n].tobytes()
+        assert part.outcomes.tobytes() == full.outcomes[:n].tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3 * 4096),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    workers=st.sampled_from([1, 2]),
+)
+def test_block_streams_are_prefix_and_worker_invariant(n, seed, workers):
+    cfg = gaussian_machine(0.83, eta_ff=0.95, visibility=0.99)
+    full = run_batch(cfg, SymmetricGaussian(1.72), 3 * 4096, seed)
+    part = run_batch(cfg, SymmetricGaussian(1.72), n, seed, workers=workers)
+    assert part.clone_means.tobytes() == full.clone_means[:n].tobytes()
+    assert part.outcomes.tobytes() == full.outcomes[:n].tobytes()
 
 
 def test_same_seed_same_aggregates_across_workers():
