@@ -33,6 +33,7 @@ from .benchmarks import (
 )
 from .cloner import (
     ClonerConfig,
+    _check_fraction,
     gaussian_machine,
     heisenberg_clone_stats,
     matched_gain,
@@ -127,13 +128,16 @@ def cmd_sweep(args) -> int:
     if vmin is None or vmax is None or steps is None:
         raise UsageError("sweep requires --vmin, --vmax and --steps")
     vmin, vmax, steps = float(vmin), float(vmax), int(steps)
+    for name, value in (("vmin", vmin), ("vmax", vmax)):
+        if not math.isfinite(value):
+            raise UsageError(f"{name} must be finite, got {value}")
     if vmin <= 0 or vmax <= vmin or steps < 2:
         raise UsageError("need 0 < vmin < vmax and steps >= 2")
     mode = _merge(args, "mode", "optimal")
     if mode not in ("optimal", "fixed"):
         raise UsageError(f"unknown sweep mode {mode!r}")
-    eta = float(_merge(args, "eta", 1.0))
-    vis = float(_merge(args, "visibility", 1.0))
+    eta = _check_fraction("eta", float(_merge(args, "eta", 1.0)))
+    vis = _check_fraction("visibility", float(_merge(args, "visibility", 1.0)))
     t1 = gx = gp = None
     if mode == "fixed":
         t1 = _merge(args, "t1")
@@ -198,8 +202,9 @@ def cmd_phase_known(args) -> int:
     else:
         p1_var = float(_merge(args, "p1-var", 1.0))
         x3_var = float(_merge(args, "x3-var", 1.0))
-    if p1_var <= 0 or x3_var <= 0:
-        raise UsageError("ancilla variances must be positive")
+    for name, value in (("p1-var", p1_var), ("x3-var", x3_var)):
+        if not 0.0 < value < math.inf:
+            raise UsageError(f"{name} must be finite and positive, got {value}")
     anc1 = (1.0 / p1_var, p1_var)  # minimum-uncertainty pairing
     anc3 = (x3_var, 1.0 / x3_var)
 
@@ -247,8 +252,10 @@ def cmd_mc(args) -> int:
     if n_traj < 1:
         raise UsageError("trajectories must be positive")
     seed = int(_merge(args, "seed", os.environ.get("CVCLONE_SEED", DEFAULT_SEED)))
-    eta = float(_merge(args, "eta", 1.0))
-    vis = float(_merge(args, "visibility", 1.0))
+    if seed < 0:
+        raise UsageError(f"seed must be non-negative, got {seed}")
+    eta = _check_fraction("eta", float(_merge(args, "eta", 1.0)))
+    vis = _check_fraction("visibility", float(_merge(args, "visibility", 1.0)))
     elec = float(_merge(args, "elec-noise", 0.0))
     if not (math.isfinite(elec) and elec >= 0):
         raise UsageError("elec-noise must be finite and non-negative")

@@ -61,10 +61,17 @@ __all__ = [
 ]
 
 
+def _check_fraction(name: str, value: float) -> float:
+    """``value`` if it lies in (0, 1]; NaN and infinities fail too."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], got {value}")
+    return value
+
+
 def _check_ancilla(name: str, spec) -> tuple[float, float]:
     vx, vp = float(spec[0]), float(spec[1])
-    if vx <= 0 or vp <= 0:
-        raise ValueError(f"{name} variances must be positive")
+    if not (0.0 < vx < math.inf and 0.0 < vp < math.inf):
+        raise ValueError(f"{name} variances must be finite and positive")
     if vx * vp < 1.0 - 1e-9:
         raise ValueError(f"{name} variance product {vx * vp:.6g} violates uncertainty")
     return vx, vp
@@ -97,12 +104,11 @@ class ClonerConfig:
             raise ValueError(f"t1 must lie in [0, 1], got {self.t1}")
         if not 0.0 <= self.t2 <= 1.0:
             raise ValueError(f"t2 must lie in [0, 1], got {self.t2}")
+        # the loss parameters first: a gain derived from a bad one is NaN
+        _check_fraction("eta_ff", self.eta_ff)
+        _check_fraction("visibility", self.visibility)
         if not (math.isfinite(self.g_x) and math.isfinite(self.g_p)):
             raise ValueError("electronic gains must be finite")
-        if not 0.0 < self.eta_ff <= 1.0:
-            raise ValueError(f"eta_ff must lie in (0, 1], got {self.eta_ff}")
-        if not 0.0 < self.visibility <= 1.0:
-            raise ValueError(f"visibility must lie in (0, 1], got {self.visibility}")
         object.__setattr__(self, "anc1", _check_ancilla("anc1", self.anc1))
         object.__setattr__(self, "anc3", _check_ancilla("anc3", self.anc3))
 
@@ -160,7 +166,7 @@ def gaussian_machine(
     1/sqrt(transmission), reproducing the experimental procedure of tuning
     the gain against a monitored optical test signal.
     """
-    tau = eta_ff * visibility**2
+    tau = _check_fraction("eta_ff", eta_ff) * _check_fraction("visibility", visibility) ** 2
     g = matched_gain(t1) / math.sqrt(tau)
     return ClonerConfig(
         t1=t1, t2=0.5, g_x=g, g_p=g, anc1=anc1, anc3=anc3,
@@ -181,7 +187,7 @@ def phase_known_machine(
     is set so the overall amplitude gain equals ``lambda_x`` (unity by
     default, which makes the average fidelity amplitude independent).
     """
-    tau = eta_ff * visibility**2
+    tau = _check_fraction("eta_ff", eta_ff) * _check_fraction("visibility", visibility) ** 2
     g_x = (2.0 * lambda_x - 1.0) / math.sqrt(tau)
     return ClonerConfig(
         t1=0.5, t2=1.0, g_x=g_x, g_p=0.0, anc1=anc1, anc3=anc3,

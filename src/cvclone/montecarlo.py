@@ -1,7 +1,7 @@
 """Trajectory-level stochastic simulation of the cloning experiment.
 
 Each trajectory draws an input state from the alphabet, runs the machine
-with sampled feedforward outcomes and records the resulting clone means;
+with sampled feedforward outcomes and yields the resulting clone means;
 gains, added noises and the average fidelity are then estimated empirically
 and compared against the analytic statistics.
 
@@ -21,11 +21,19 @@ covariance is outcome independent; the per-shot state is fully described by
 its realised mean plus that fixed covariance, which is what the trajectory
 records hold.  The conditional mean is shared by both clones (the output
 splitter ancilla has zero mean), so one mean vector per shot describes both.
+
+Aggregation streams: each block reduces its trajectories to a few dozen
+sums as soon as it is simulated, and the blocks merge in block order, so
+memory does not grow with the trajectory count.  Per-trajectory records are
+kept only on request (``run_batch(..., keep_records=True)``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -61,7 +69,8 @@ KNOWN_PHASE_AMPLITUDES = (0.0, 2.0, 4.0, 8.0)
 
 _CHUNK = 4096
 
-# largest trajectory count run_batch accepts; its docstring gives the memory
+# largest trajectory count run_batch accepts; it bounds the run time (about
+# 20 s on one core), since memory does not grow with the count
 MAX_TRAJECTORIES = 10**8
 
 __all__ = [
@@ -79,12 +88,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrajectoryBatch:
-    """Records and aggregates of one Monte Carlo run.
+    """Aggregates, and on request the records, of one Monte Carlo run.
 
-    Aggregates are reproducible bit-exactly from (config, alphabet, seed,
-    n_traj, elec_noise).  Gains are through-origin regression slopes of the
-    clone mean on the input mean; a gain is NaN when the input means carry no
-    signal in that quadrature.  Variances combine the fixed conditional clone
+    The record arrays hold one row per trajectory when the batch was run
+    with ``keep_records=True`` and zero rows otherwise.  Aggregates are
+    reproducible bit-exactly from (config, alphabet, seed, n_traj,
+    elec_noise), whatever ``workers`` and ``keep_records``.  Gains are
+    through-origin regression slopes of the clone mean on the input mean; a
+    gain is NaN when the input means carry no signal in that quadrature.  Variances combine the fixed conditional clone
     covariance with the outcome-induced mean scatter.  Standard errors are
     sample standard deviations over trajectories divided by sqrt(n_traj).
     """
@@ -94,7 +105,7 @@ class TrajectoryBatch:
     n_traj: int
     seed: int
     elec_noise: float
-    input_means: np.ndarray   # (n, 2)
+    input_means: np.ndarray   # (n, 2), or (0, 2) without records
     outcomes: np.ndarray      # (n, 1) or (n, 2) measured X (and P) outcomes
     clone_means: np.ndarray   # (n, 2), shared by both clones
     clone_cov_diag: np.ndarray  # (2,) conditional marginal variances of a clone
@@ -132,8 +143,10 @@ def _fill_input_means(alphabet: Alphabet, z: np.ndarray, start: int, out: np.nda
         raise ValueError(f"alphabet {alphabet!r} cannot be sampled")
 
 
-def _block_normals(seed: int, block: int, k: int) -> np.ndarray:
-    return np.random.default_rng((seed, block)).standard_normal((_CHUNK, k))
+def _block_normals(seed: int, block: int, k: int, rows: int = _CHUNK) -> np.ndarray:
+    # the first ``rows`` rows of the full block: a prefix of a draw equals
+    # the smaller draw, so a partial last block draws only what it uses
+    return np.random.default_rng((seed, block)).standard_normal((rows, k))
 
 
 def trajectory_normals(seed: int, i: int, k: int) -> np.ndarray:
@@ -148,6 +161,120 @@ def trajectory_normals(seed: int, i: int, k: int) -> np.ndarray:
     return _block_normals(seed, i // _CHUNK, k)[i % _CHUNK].copy()
 
 
+# input sum of squares below which a quadrature carries no signal
+_NO_SIGNAL = 1e-12
+
+# Streaming statistics.  A block reduces each fit of y on a regressor u to
+# its local through-origin slope s and the sums, with r = y - s*u,
+#     (Σu², Σuy, Σr², Σru, Σr⁴, Σr³u, Σr²u², Σru³, Σu⁴).
+# Moving the slope to s + d maps r to r - d*u, and every sum of degree 2 or 4
+# to a binomial combination of sums of the same degree, so two blocks merge
+# exactly by moving both to their joint slope ΣΣuy / ΣΣu² and adding
+# (Chan, Golub and LeVeque, Am. Stat. 37 (1983); Pébay, SAND2008-6212).
+# Local slopes differ from the joint one by O(1/sqrt(4096)), so the
+# expansion does not cancel.  The fit on u = 1 is the mean, with r the
+# central deviation; it serves the fidelity and the zero-signal branch.  A
+# block computes the latter only when it has no signal itself: the batch
+# needs it only when it has none, and then no block has.
+
+
+def _fit_sums(u: np.ndarray, y: np.ndarray) -> tuple[float, tuple]:
+    suu = float(u @ u)
+    suy = float(u @ y)
+    s = suy / suu if suu > 0.0 else 0.0
+    r = y - s * u
+    r2 = r * r
+    ru = r * u
+    u2 = u * u
+    return s, (suu, suy, float(r @ r), float(r @ u), float(r2 @ r2), float(r2 @ ru),
+               float(ru @ ru), float(ru @ u2), float(u2 @ u2))
+
+
+def _mean_sums(y: np.ndarray) -> tuple[float, tuple]:
+    m = float(len(y))
+    sy = float(y.sum())
+    s = sy / m
+    e = y - s
+    e2 = e * e
+    se, se2 = float(e.sum()), float(e2.sum())
+    return s, (m, sy, se2, se, float(e2 @ e2), float(e2 @ e), se2, se, m)
+
+
+def _shift(sums: tuple, d: float) -> tuple:
+    """The sums of a fit whose slope moves by ``d``."""
+    suu, suy, srr, sru, sr4, sr3u, sr2u2, sru3, su4 = sums
+    return (
+        suu,
+        suy,
+        srr - d * (2.0 * sru - d * suu),
+        sru - d * suu,
+        sr4 - d * (4.0 * sr3u - d * (6.0 * sr2u2 - d * (4.0 * sru3 - d * su4))),
+        sr3u - d * (3.0 * sr2u2 - d * (3.0 * sru3 - d * su4)),
+        sr2u2 - d * (2.0 * sru3 - d * su4),
+        sru3 - d * su4,
+        su4,
+    )
+
+
+def _merge(a: tuple[float, tuple] | None, b: tuple[float, tuple] | None):
+    if a is None or b is None:
+        return None
+    (sa, fa), (sb, fb) = a, b
+    suu = fa[0] + fb[0]
+    s = (fa[1] + fb[1]) / suu if suu > 0.0 else 0.0
+    return s, tuple(p + q for p, q in zip(_shift(fa, s - sa), _shift(fb, s - sb)))
+
+
+def _shot_fidelity(input_means: np.ndarray, clone_means: np.ndarray, cond_var) -> np.ndarray:
+    gx = 1.0 + cond_var[0]
+    gp = 1.0 + cond_var[1]
+    dx = clone_means[:, 0] - input_means[:, 0]
+    dp = clone_means[:, 1] - input_means[:, 1]
+    return 2.0 / math.sqrt(gx * gp) * np.exp(-0.5 * (dx**2 / gx + dp**2 / gp))
+
+
+def _statistics(fits: list, n: int, cond_var) -> dict:
+    """Gains, variances and fidelity, with standard errors, from the merged
+    fits (x on input x, x on 1, p on input p, p on 1, fidelity on 1).
+
+    A gain is the through-origin slope, NaN when the input carries no
+    signal (Σu² below ``_NO_SIGNAL``), in which case the residual is taken
+    against the mean.  The per-shot variance is cond_var + residual², and standard
+    errors are sample standard deviations over trajectories / sqrt(n).
+    """
+    out: dict = {}
+    for q, name in ((0, "x"), (1, "p")):
+        (lam, sig), mean_fit = fits[2 * q], fits[2 * q + 1]
+        if sig[0] < _NO_SIGNAL:
+            lam = se_lam = math.nan
+            sig = mean_fit[1]
+        else:
+            se_lam = math.sqrt(sig[2] / max(n - 1, 1) / sig[0])
+        srr, sr4 = sig[2], sig[4]
+        out[f"lambda_{name}"] = lam
+        out[f"se_lambda_{name}"] = se_lam
+        out[f"sigma_{name}"] = cond_var[q] + srr / n
+        out[f"se_sigma_{name}"] = (
+            math.sqrt(max(sr4 - srr * srr / n, 0.0) / (n - 1) / n) if n > 1 else 0.0
+        )
+    f_hat, f_sums = fits[4]
+    out["f_hat"] = f_hat
+    out["se_f"] = math.sqrt(f_sums[2] / (n - 1) / n) if n > 1 else 0.0
+    return out
+
+
+def _in_order(pool, fn, n: int, window: int):
+    """``fn(0), ..., fn(n - 1)`` run on ``pool``, yielded in order, with at
+    most ``window`` + 1 of them submitted and not yet taken."""
+    pending: deque = deque()
+    for i in range(n):
+        pending.append(pool.submit(fn, i))
+        if len(pending) > window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def run_batch(
     cfg: ClonerConfig,
     alphabet: Alphabet,
@@ -155,25 +282,33 @@ def run_batch(
     seed: int,
     elec_noise: float = 0.0,
     workers: int = 1,
+    keep_records: bool = False,
 ) -> TrajectoryBatch:
     """Simulate ``n_traj`` trajectories and aggregate the clone statistics.
 
     The per-shot model is the affine form extracted from the circuit
     (outcome sampling, Gaussian conditioning, feedforward displacement).
     Blocks of 4096 trajectories each take one bulk normal draw keyed by
-    (seed, block) and write their rows straight into the record arrays;
-    a thread pool may fill the blocks, and since every block owns its
-    stream and its rows the result is independent of ``workers``.
+    (seed, block), simulate their rows and reduce them at once to a few
+    dozen sums, which are merged in block order; no per-trajectory array
+    outlives its block, so memory does not grow with ``n_traj``.  Up to
+    ``workers`` threads (at most one per CPU and per block) may simulate
+    the blocks; every block owns its stream and the merge order is fixed,
+    so the result is independent of ``workers``.
 
-    ``n_traj`` may be at most ``MAX_TRAJECTORIES``: the records hold 48
-    bytes per trajectory (40 when only the X outcome is measured), 4.8 GB
-    at the bound, and aggregation briefly needs a few more arrays of 8
-    bytes per trajectory.  ``elec_noise`` must be finite and non-negative.
+    With ``keep_records`` the per-trajectory input means, outcomes and
+    clone means are kept as well, 48 bytes per trajectory (40 when only the
+    X outcome is measured); without it these arrays have zero rows.
+    ``n_traj`` may be at most ``MAX_TRAJECTORIES``, which bounds the run
+    time.  ``seed`` must be non-negative and ``elec_noise`` finite and
+    non-negative.
     """
     if isinstance(alphabet, FlatLimit):
         raise ValueError("the flat limit is an analytic limit and cannot be sampled")
     if not 1 <= n_traj <= MAX_TRAJECTORIES:
         raise ValueError(f"n_traj must lie in [1, {MAX_TRAJECTORIES}], got {n_traj}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
 
@@ -182,41 +317,56 @@ def run_batch(
     has_el = elec_noise > 0.0
     k = n_alpha + 1 + int(has_el) + (1 + int(has_el)) * int(model.has_p_outcome)
 
-    input_means = np.empty((n_traj, 2))
-    outcomes = np.empty((n_traj, 1 + int(model.has_p_outcome)))
-    clone_means = np.empty((n_traj, 2))
+    rows = n_traj if keep_records else 0
+    input_means = np.empty((rows, 2))
+    outcomes = np.empty((rows, 1 + int(model.has_p_outcome)))
+    clone_means = np.empty((rows, 2))
 
-    starts = range(0, n_traj, _CHUNK)
-
-    def simulate(start: int) -> None:
+    def simulate(block: int) -> list:
+        start = block * _CHUNK
         stop = min(start + _CHUNK, n_traj)
-        z = _block_normals(seed, start // _CHUNK, k)[: stop - start]
-        means = input_means[start:stop]
+        z = _block_normals(seed, block, k, stop - start)
+        means = np.empty((stop - start, 2))
         _fill_input_means(alphabet, z[:, :n_alpha], start, means)
+        clone = np.empty_like(means)
         col = n_alpha
         x_m = model.out_coeff_x * means[:, 0] + math.sqrt(model.out_var_x) * z[:, col]
         col += 1
         x_el = math.sqrt(elec_noise) * z[:, col] if has_el else 0.0
         col += int(has_el)
-        outcomes[start:stop, 0] = x_m
-        clone_means[start:stop, 0] = model.ax * means[:, 0] + model.bx * x_m + model.ex * x_el
+        clone[:, 0] = model.ax * means[:, 0] + model.bx * x_m + model.ex * x_el
         if model.has_p_outcome:
             p_m = model.out_coeff_p * means[:, 1] + math.sqrt(model.out_var_p) * z[:, col]
             col += 1
             p_el = math.sqrt(elec_noise) * z[:, col] if has_el else 0.0
-            outcomes[start:stop, 1] = p_m
-            clone_means[start:stop, 1] = model.ap * means[:, 1] + model.bp * p_m + model.ep * p_el
+            clone[:, 1] = model.ap * means[:, 1] + model.bp * p_m + model.ep * p_el
         else:
-            clone_means[start:stop, 1] = model.ap * means[:, 1]
+            clone[:, 1] = model.ap * means[:, 1]
+        if keep_records:
+            input_means[start:stop] = means
+            outcomes[start:stop, 0] = x_m
+            if model.has_p_outcome:
+                outcomes[start:stop, 1] = p_m
+            clone_means[start:stop] = clone
+        sums = []
+        for q in (0, 1):
+            fit = _fit_sums(means[:, q], clone[:, q])
+            sums += [fit, _mean_sums(clone[:, q]) if fit[1][0] < _NO_SIGNAL else None]
+        return sums + [_mean_sums(_shot_fidelity(means, clone, model.cond_var))]
 
-    if workers == 1 or len(starts) == 1:
-        for start in starts:
-            simulate(start)
+    def merge_in_order(block_sums) -> list:
+        return functools.reduce(lambda acc, new: list(map(_merge, acc, new)), block_sums)
+
+    n_blocks = -(-n_traj // _CHUNK)
+    threads = min(workers, n_blocks)
+    if threads > 1:
+        threads = min(threads, os.cpu_count() or 1)
+    if threads == 1:
+        fits = merge_in_order(map(simulate, range(n_blocks)))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(simulate, starts))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            fits = merge_in_order(_in_order(pool, simulate, n_blocks, 2 * threads))
 
-    agg = _aggregate(input_means, clone_means, model.cond_var)
     return TrajectoryBatch(
         config=cfg,
         alphabet=alphabet,
@@ -227,51 +377,8 @@ def run_batch(
         outcomes=outcomes,
         clone_means=clone_means,
         clone_cov_diag=model.cond_var.copy(),
-        **agg,
+        **_statistics(fits, n_traj, model.cond_var),
     )
-
-
-def _slope(y: np.ndarray, x: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """Through-origin regression slope, its standard error and residuals."""
-    sxx = float(x @ x)
-    if sxx < 1e-12:
-        return math.nan, math.nan, y.copy()
-    slope = float(y @ x) / sxx
-    resid = y - slope * x
-    n = len(y)
-    var_resid = float(resid @ resid) / max(n - 1, 1)
-    return slope, math.sqrt(var_resid / sxx), resid
-
-
-def _aggregate(input_means, clone_means, cond_var) -> dict:
-    n = len(clone_means)
-    out: dict = {}
-    for quad, name in ((0, "x"), (1, "p")):
-        lam, se_lam, resid = _slope(clone_means[:, quad], input_means[:, quad])
-        if math.isnan(lam):
-            resid = clone_means[:, quad] - float(np.mean(clone_means[:, quad]))
-        per_shot_var = cond_var[quad] + resid**2
-        sigma = float(np.mean(per_shot_var))
-        se_sigma = float(np.std(per_shot_var, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-        out[f"lambda_{name}"] = lam
-        out[f"se_lambda_{name}"] = se_lam
-        out[f"sigma_{name}"] = sigma
-        out[f"se_sigma_{name}"] = se_sigma
-    f_hat, se_f = _fidelity_from_records(input_means, clone_means, cond_var)
-    out["f_hat"] = f_hat
-    out["se_f"] = se_f
-    return out
-
-
-def _fidelity_from_records(input_means, clone_means, cond_var) -> tuple[float, float]:
-    gx = 1.0 + cond_var[0]
-    gp = 1.0 + cond_var[1]
-    dx = clone_means[:, 0] - input_means[:, 0]
-    dp = clone_means[:, 1] - input_means[:, 1]
-    f = 2.0 / math.sqrt(gx * gp) * np.exp(-0.5 * (dx**2 / gx + dp**2 / gp))
-    n = len(f)
-    se = float(np.std(f, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return float(np.mean(f)), se
 
 
 def empirical_fidelity(batch: TrajectoryBatch, alphabet: Alphabet | None = None) -> tuple[float, float]:
@@ -279,13 +386,19 @@ def empirical_fidelity(batch: TrajectoryBatch, alphabet: Alphabet | None = None)
 
     Each shot contributes the overlap between its known coherent input and
     the clone Gaussian of that shot (realised mean, fixed conditional
-    covariance).  Returns (estimate, standard error).
+    covariance).  Returns (estimate, standard error).  The batch must hold
+    its records (``run_batch(..., keep_records=True)``).
     """
     if batch.n_traj < 1:
         raise ValueError("batch is empty")
+    if len(batch.clone_means) != batch.n_traj:
+        raise ValueError("batch holds no trajectory records; run it with keep_records=True")
     if alphabet is not None and alphabet != batch.alphabet:
         raise ValueError("alphabet does not match the batch records")
-    return _fidelity_from_records(batch.input_means, batch.clone_means, batch.clone_cov_diag)
+    f = _shot_fidelity(batch.input_means, batch.clone_means, batch.clone_cov_diag)
+    n = len(f)
+    se = float(np.std(f, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    return float(np.mean(f)), se
 
 
 def compare_with_analytic(batch: TrajectoryBatch) -> dict[str, dict[str, float]]:

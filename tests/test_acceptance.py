@@ -229,8 +229,9 @@ def test_c11_monte_carlo_oracle_equivalence():
         batch = run_batch(cfg, alphabet, 100_000, seed=1100 + i)
         for name, row in compare_with_analytic(batch).items():
             worst_z = max(worst_z, abs(row["z"]))
-    a = run_batch(configs[1][0], configs[1][1], 20_000, seed=4242, workers=1)
-    b = run_batch(configs[1][0], configs[1][1], 20_000, seed=4242, workers=8)
+    a = run_batch(configs[1][0], configs[1][1], 20_000, seed=4242, workers=1, keep_records=True)
+    b = run_batch(configs[1][0], configs[1][1], 20_000, seed=4242, workers=8, keep_records=True)
+    assert len(a.clone_means) == len(b.clone_means) == 20_000
     identical = (
         a.clone_means.tobytes() == b.clone_means.tobytes()
         and a.f_hat == b.f_hat

@@ -67,6 +67,23 @@ def test_sweep_usage_errors(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag, vmin, vmax", [("vmax", "0.5", "inf"), ("vmin", "nan", "2")])
+def test_sweep_rejects_non_finite_range_without_warnings(capsys, flag, vmin, vmax):
+    code, out, err = run_cli(capsys, "sweep", "--vmin", vmin, "--vmax", vmax, "--steps", "3")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} must be finite")
+
+
+@pytest.mark.parametrize("flag", ["eta", "visibility"])
+def test_sweep_rejects_bad_loss_parameters(capsys, flag):
+    code, out, err = run_cli(
+        capsys, "sweep", "--vmin", "1", "--vmax", "2", "--steps", "3", f"--{flag}", "0"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} must lie in (0, 1]")
+
+
 def test_sweep_fixed_mode(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--vmin", "1.72", "--vmax", "3", "--steps", "2",
@@ -153,6 +170,16 @@ def test_phase_known_custom_squeezing_stays_below_bound(capsys):
     assert report["fidelity"] <= report["optimal_bound"]["fidelity"] + 1e-9
 
 
+@pytest.mark.parametrize("flag", ["p1-var", "x3-var"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_phase_known_rejects_bad_ancilla_variance(capsys, flag, value):
+    code, out, err = run_cli(
+        capsys, "phase-known", "--ancilla", "squeezed", f"--{flag}", value
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} must be finite and positive")
+
+
 def test_mc_self_check_and_determinism(capsys):
     args = ["mc", "--V", "1.72", "--trajectories", "4000", "--seed", "7"]
     code_a, out_a, _ = run_cli(capsys, *args)
@@ -172,6 +199,27 @@ def test_mc_phase_known_run(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["analytic"]["fidelity"] == pytest.approx(0.8879, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("eta", "0"), ("visibility", "0"), ("eta", "nan"), ("visibility", "1.5")]
+)
+def test_mc_rejects_bad_loss_parameters(capsys, flag, value):
+    # --eta 0 used to die with a ZeroDivisionError traceback (exit 1) and
+    # --eta nan to blame the derived electronic gain
+    code, out, err = run_cli(
+        capsys, "mc", "--V", "1.72", "--trajectories", "1000", f"--{flag}", value
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} must lie in (0, 1]")
+
+
+def test_mc_rejects_negative_seed(capsys):
+    code, out, err = run_cli(
+        capsys, "mc", "--V", "1.72", "--trajectories", "1000", "--seed", "-5"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: seed must be non-negative")
 
 
 def test_mc_usage_errors(capsys):

@@ -31,6 +31,26 @@ def test_config_validation():
         ClonerConfig(t1=0.5, anc1=(0.5, 1.0))
 
 
+@pytest.mark.parametrize("name", ["eta_ff", "visibility"])
+@pytest.mark.parametrize("value", [0.0, -0.5, 1.5, math.nan, math.inf])
+def test_loss_parameters_are_checked_before_any_gain_is_derived(name, value):
+    # each would otherwise divide by zero or pass a NaN gain on to the
+    # config, whose message would then name the gain
+    for build in (
+        lambda: gaussian_machine(0.8, **{name: value}),
+        lambda: phase_known_machine(**{name: value}),
+        lambda: ClonerConfig(t1=0.5, g_x=math.nan, **{name: value}),
+    ):
+        with pytest.raises(ValueError, match=name):
+            build()
+
+
+@pytest.mark.parametrize("spec", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
+def test_ancilla_variances_must_be_finite(spec):
+    with pytest.raises(ValueError, match="anc1 variances"):
+        ClonerConfig(t1=0.5, anc1=spec)
+
+
 def test_matched_gain_values():
     assert matched_gain(0.5) == pytest.approx(math.sqrt(2.0))
     assert matched_gain(1.0) == 0.0

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -94,7 +96,8 @@ def test_batch_trajectories_match_explicit_circuit_runs():
     cfg = gaussian_machine(0.7, anc1=(1.5, 1.4 / 1.5), anc3=(0.8, 1.25))
     alphabet = Single(2.0, -1.0)
     seed, n = 404, 4100
-    batch = run_batch(cfg, alphabet, n, seed=seed)
+    batch = run_batch(cfg, alphabet, n, seed=seed, keep_records=True)
+    assert len(batch.outcomes) == len(batch.clone_means) == n
     circuit = build_circuit(cfg, coherent(2.0, -1.0))
     for i in [*range(200), 4095, 4096, 4099]:
         records, state = circuit.run(_Replay(seed, i, 2))
@@ -109,7 +112,8 @@ def test_batch_trajectories_match_explicit_circuit_runs():
 def test_batch_trajectories_match_circuit_with_loss_and_elec_noise():
     cfg = gaussian_machine(0.83, eta_ff=0.95, visibility=0.99)
     seed, n = 77, 100
-    batch = run_batch(cfg, Single(3.0, 1.0), n, seed=seed, elec_noise=0.4)
+    batch = run_batch(cfg, Single(3.0, 1.0), n, seed=seed, elec_noise=0.4, keep_records=True)
+    assert len(batch.clone_means) == n
     circuit = build_circuit(cfg, coherent(3.0, 1.0))
     for i in range(0, n, 7):
         # X outcome, its electronic noise, P outcome, its electronic noise
@@ -137,9 +141,11 @@ def test_trajectory_normals_are_rows_of_the_block_stream():
 def test_records_are_prefixes_of_a_longer_run(cfg, alphabet):
     # trajectory i is the same whatever n is; for the known-phase alphabet
     # this also pins the amplitude grid to the global index i
-    full = run_batch(cfg, alphabet, 10_000, seed=17, elec_noise=0.1)
+    full = run_batch(cfg, alphabet, 10_000, seed=17, elec_noise=0.1, keep_records=True)
+    assert len(full.input_means) == len(full.outcomes) == len(full.clone_means) == 10_000
     for n in (1, 4095, 4096, 4097, 10_000):
-        part = run_batch(cfg, alphabet, n, seed=17, elec_noise=0.1)
+        part = run_batch(cfg, alphabet, n, seed=17, elec_noise=0.1, keep_records=True)
+        assert len(part.input_means) == len(part.outcomes) == len(part.clone_means) == n
         assert part.input_means.tobytes() == full.input_means[:n].tobytes()
         assert part.clone_means.tobytes() == full.clone_means[:n].tobytes()
         assert part.outcomes.tobytes() == full.outcomes[:n].tobytes()
@@ -153,21 +159,149 @@ def test_records_are_prefixes_of_a_longer_run(cfg, alphabet):
 )
 def test_block_streams_are_prefix_and_worker_invariant(n, seed, workers):
     cfg = gaussian_machine(0.83, eta_ff=0.95, visibility=0.99)
-    full = run_batch(cfg, SymmetricGaussian(1.72), 3 * 4096, seed)
-    part = run_batch(cfg, SymmetricGaussian(1.72), n, seed, workers=workers)
+    full = run_batch(cfg, SymmetricGaussian(1.72), 3 * 4096, seed, keep_records=True)
+    part = run_batch(cfg, SymmetricGaussian(1.72), n, seed, workers=workers, keep_records=True)
+    assert len(full.clone_means) == 3 * 4096
+    assert len(part.clone_means) == len(part.outcomes) == n
     assert part.clone_means.tobytes() == full.clone_means[:n].tobytes()
     assert part.outcomes.tobytes() == full.outcomes[:n].tobytes()
 
 
 def test_same_seed_same_aggregates_across_workers():
     cfg = gaussian_machine(0.83)
-    a = run_batch(cfg, SymmetricGaussian(1.72), 20_000, seed=9, workers=1)
-    b = run_batch(cfg, SymmetricGaussian(1.72), 20_000, seed=9, workers=8)
+    a = run_batch(cfg, SymmetricGaussian(1.72), 20_000, seed=9, workers=1, keep_records=True)
+    b = run_batch(cfg, SymmetricGaussian(1.72), 20_000, seed=9, workers=8, keep_records=True)
+    assert len(a.clone_means) == len(b.clone_means) == 20_000
     assert a.clone_means.tobytes() == b.clone_means.tobytes()
     assert a.outcomes.tobytes() == b.outcomes.tobytes()
     assert (a.lambda_x, a.sigma_x, a.sigma_p, a.f_hat) == (b.lambda_x, b.sigma_x, b.sigma_p, b.f_hat)
     c = run_batch(cfg, SymmetricGaussian(1.72), 20_000, seed=9, workers=1)
     assert c.f_hat == a.f_hat
+
+
+def _two_pass(batch):
+    """The estimators written out over the records: per quadrature the
+    through-origin slope (NaN without signal, the residual then taken against
+    the mean), sigma = cond_var + mean(residual^2), standard errors from
+    sample standard deviations, and the mean per-shot fidelity.  The spread
+    of the per-shot variance is taken on residual^2 alone, which is the same
+    number as on cond_var + residual^2 without the rounding of the sum."""
+    n = batch.n_traj
+    ref = {}
+    for q, name in enumerate("xp"):
+        x, y = batch.input_means[:, q], batch.clone_means[:, q]
+        sxx = float(x @ x)
+        if sxx < 1e-12:
+            lam = se_lam = math.nan
+            resid = y - np.mean(y)
+        else:
+            lam = float(x @ y) / sxx
+            resid = y - lam * x
+            se_lam = math.sqrt(float(resid @ resid) / max(n - 1, 1) / sxx)
+        r2 = resid**2
+        ref[f"lambda_{name}"] = lam
+        ref[f"se_lambda_{name}"] = se_lam
+        ref[f"sigma_{name}"] = batch.clone_cov_diag[q] + float(np.mean(r2))
+        ref[f"se_sigma_{name}"] = float(np.std(r2, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    gx, gp = 1.0 + batch.clone_cov_diag
+    d = batch.clone_means - batch.input_means
+    f = 2.0 / math.sqrt(gx * gp) * np.exp(-0.5 * (d[:, 0] ** 2 / gx + d[:, 1] ** 2 / gp))
+    ref["f_hat"] = float(np.mean(f))
+    ref["se_f"] = float(np.std(f, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    return ref
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 4095, 4096, 4097, 50_000])
+@pytest.mark.parametrize(
+    "cfg, alphabet",
+    [
+        (gaussian_machine(0.83, eta_ff=0.95, visibility=0.99), SymmetricGaussian(1.72)),
+        # zero-signal p quadrature with constant clone means
+        (phase_known_machine(eta_ff=0.95, visibility=0.99), KnownPhase()),
+        # zero-signal p quadrature with random clone means
+        (gaussian_machine(0.83, eta_ff=0.95, visibility=0.99), KnownPhase()),
+    ],
+    ids=["gaussian", "known-phase", "heterodyne-known-phase"],
+)
+def test_streamed_aggregates_match_two_pass_reference(cfg, alphabet, n, workers):
+    streamed = run_batch(cfg, alphabet, n, seed=29, elec_noise=0.1, workers=workers)
+    recorded = run_batch(cfg, alphabet, n, seed=29, elec_noise=0.1, keep_records=True)
+    assert len(recorded.input_means) == len(recorded.clone_means) == n
+    ref = _two_pass(recorded)
+    for key, value in ref.items():
+        assert getattr(recorded, key) == getattr(streamed, key) or math.isnan(value), key
+        # an exact zero, such as se_sigma of a mean fit at n = 2, is
+        # compared to an absolute 1e-15, far below any standard error here
+        assert getattr(streamed, key) == pytest.approx(value, rel=1e-12, abs=1e-15, nan_ok=True), key
+    if isinstance(alphabet, KnownPhase):
+        assert math.isnan(streamed.lambda_p)
+
+
+def test_run_batch_memory_is_flat_without_records():
+    cfg = gaussian_machine(0.83, eta_ff=0.95, visibility=0.99)
+    run_batch(cfg, SymmetricGaussian(1.72), 10, seed=1, elec_noise=0.1)
+    tracemalloc.start()
+    try:
+        batch = run_batch(cfg, SymmetricGaussian(1.72), 200_000, seed=3, elec_noise=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert batch.n_traj == 200_000
+    # the records alone would take 48 B per trajectory, 9.6 MB
+    assert peak < 2_000_000
+
+
+def test_batch_without_records_has_empty_record_arrays():
+    batch = run_batch(phase_known_machine(), KnownPhase(), 5000, seed=1)
+    assert batch.input_means.shape == (0, 2)
+    assert batch.outcomes.shape == (0, 1)
+    assert batch.clone_means.shape == (0, 2)
+    with pytest.raises(ValueError, match="keep_records"):
+        empirical_fidelity(batch)
+
+
+class _InlinePool:
+    """Stands in for ThreadPoolExecutor: records the pool size asked for and
+    runs every task at once in the calling thread."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_thread_pool_is_bounded_by_cpus_and_blocks(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(
+        montecarlo, "ThreadPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers)
+    )
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    cfg, alphabet = gaussian_machine(0.83), SymmetricGaussian(1.72)
+    serial = run_batch(cfg, alphabet, 10 * 4096, seed=5)
+    assert sizes == []
+    few_blocks = run_batch(cfg, alphabet, 3 * 4096, seed=5, workers=10**6)
+    many_blocks = run_batch(cfg, alphabet, 10 * 4096, seed=5, workers=10**6)
+    assert sizes == [3, 4]
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+    run_batch(cfg, alphabet, 10 * 4096, seed=5, workers=10**6)
+    assert sizes == [3, 4]  # an unknown CPU count runs serially
+    assert (many_blocks.f_hat, many_blocks.sigma_x) == (serial.f_hat, serial.sigma_x)
+    assert few_blocks.n_traj == 3 * 4096
+
+
+def test_run_batch_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        run_batch(gaussian_machine(0.5), SymmetricGaussian(1.0), 10, seed=-5)
 
 
 def test_standard_error_scaling():
@@ -200,13 +334,15 @@ def test_published_operating_point_batch():
 def test_unity_gain_machine_reaches_two_thirds_for_any_alphabet():
     cfg = gaussian_machine(0.5)
     for v, seed in ((0.5, 21), (3.0, 22)):
-        batch = run_batch(cfg, SymmetricGaussian(v), 50_000, seed=seed)
+        batch = run_batch(cfg, SymmetricGaussian(v), 50_000, seed=seed, keep_records=True)
+        assert len(batch.clone_means) == 50_000
         f, se = empirical_fidelity(batch)
         assert f == pytest.approx(2 / 3, abs=4 * se)
 
 
 def test_phase_known_batch_and_amplitude_independence():
-    batch = run_batch(phase_known_machine(), KnownPhase(), 80_000, seed=13)
+    batch = run_batch(phase_known_machine(), KnownPhase(), 80_000, seed=13, keep_records=True)
+    assert len(batch.input_means) == len(batch.clone_means) == 80_000
     f, se = empirical_fidelity(batch)
     assert f == pytest.approx(2 / math.sqrt(5), abs=4 * se)
     assert math.isnan(batch.lambda_p)
