@@ -95,9 +95,10 @@ class TrajectoryBatch:
     reproducible bit-exactly from (config, alphabet, seed, n_traj,
     elec_noise), whatever ``workers`` and ``keep_records``.  Gains are
     through-origin regression slopes of the clone mean on the input mean; a
-    gain is NaN when the input means carry no signal in that quadrature.  Variances combine the fixed conditional clone
-    covariance with the outcome-induced mean scatter.  Standard errors are
-    sample standard deviations over trajectories divided by sqrt(n_traj).
+    gain is NaN when the input means carry no signal in that quadrature.
+    Variances combine the fixed conditional clone covariance with the
+    outcome-induced mean scatter.  Standard errors are sample standard
+    deviations over trajectories divided by sqrt(n_traj).
     """
 
     config: ClonerConfig
@@ -196,8 +197,8 @@ def _mean_sums(y: np.ndarray) -> tuple[float, tuple]:
     s = sy / m
     e = y - s
     e2 = e * e
-    se, se2 = float(e.sum()), float(e2.sum())
-    return s, (m, sy, se2, se, float(e2 @ e2), float(e2 @ e), se2, se, m)
+    s1, s2 = float(e.sum()), float(e2.sum())
+    return s, (m, sy, s2, s1, float(e2 @ e2), float(e2 @ e), s2, s1, m)
 
 
 def _shift(sums: tuple, d: float) -> tuple:
@@ -239,8 +240,9 @@ def _statistics(fits: list, n: int, cond_var) -> dict:
 
     A gain is the through-origin slope, NaN when the input carries no
     signal (Σu² below ``_NO_SIGNAL``), in which case the residual is taken
-    against the mean.  The per-shot variance is cond_var + residual², and standard
-    errors are sample standard deviations over trajectories / sqrt(n).
+    against the mean.  The per-shot variance is cond_var + residual², and
+    standard errors are sample standard deviations over trajectories /
+    sqrt(n).
     """
     out: dict = {}
     for q, name in ((0, "x"), (1, "p")):
@@ -261,6 +263,10 @@ def _statistics(fits: list, n: int, cond_var) -> dict:
     out["f_hat"] = f_hat
     out["se_f"] = math.sqrt(f_sums[2] / (n - 1) / n) if n > 1 else 0.0
     return out
+
+
+def _merge_in_order(block_sums) -> list:
+    return functools.reduce(lambda acc, new: list(map(_merge, acc, new)), block_sums)
 
 
 def _in_order(pool, fn, n: int, window: int):
@@ -354,18 +360,16 @@ def run_batch(
             sums += [fit, _mean_sums(clone[:, q]) if fit[1][0] < _NO_SIGNAL else None]
         return sums + [_mean_sums(_shot_fidelity(means, clone, model.cond_var))]
 
-    def merge_in_order(block_sums) -> list:
-        return functools.reduce(lambda acc, new: list(map(_merge, acc, new)), block_sums)
-
     n_blocks = -(-n_traj // _CHUNK)
     threads = min(workers, n_blocks)
     if threads > 1:
+        # asked only for a pool: the call takes tens of microseconds
         threads = min(threads, os.cpu_count() or 1)
     if threads == 1:
-        fits = merge_in_order(map(simulate, range(n_blocks)))
+        fits = _merge_in_order(map(simulate, range(n_blocks)))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            fits = merge_in_order(_in_order(pool, simulate, n_blocks, 2 * threads))
+            fits = _merge_in_order(_in_order(pool, simulate, n_blocks, 2 * threads))
 
     return TrajectoryBatch(
         config=cfg,

@@ -233,7 +233,8 @@ def test_streamed_aggregates_match_two_pass_reference(cfg, alphabet, n, workers)
         assert getattr(recorded, key) == getattr(streamed, key) or math.isnan(value), key
         # an exact zero, such as se_sigma of a mean fit at n = 2, is
         # compared to an absolute 1e-15, far below any standard error here
-        assert getattr(streamed, key) == pytest.approx(value, rel=1e-12, abs=1e-15, nan_ok=True), key
+        expected = pytest.approx(value, rel=1e-12, abs=1e-15, nan_ok=True)
+        assert getattr(streamed, key) == expected, key
     if isinstance(alphabet, KnownPhase):
         assert math.isnan(streamed.lambda_p)
 
