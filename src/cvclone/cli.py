@@ -137,7 +137,7 @@ def cmd_sweep(args) -> int:
     if mode not in ("optimal", "fixed"):
         raise UsageError(f"unknown sweep mode {mode!r}")
     eta = _check_fraction("eta", float(_merge(args, "eta", 1.0)))
-    vis = _check_fraction("visibility", float(_merge(args, "visibility", 1.0)))
+    vis = float(_merge(args, "visibility", 1.0))
     t1 = gx = gp = None
     if mode == "fixed":
         t1 = _merge(args, "t1")
@@ -252,10 +252,8 @@ def cmd_mc(args) -> int:
     if n_traj < 1:
         raise UsageError("trajectories must be positive")
     seed = int(_merge(args, "seed", os.environ.get("CVCLONE_SEED", DEFAULT_SEED)))
-    if seed < 0:
-        raise UsageError(f"seed must be non-negative, got {seed}")
     eta = _check_fraction("eta", float(_merge(args, "eta", 1.0)))
-    vis = _check_fraction("visibility", float(_merge(args, "visibility", 1.0)))
+    vis = float(_merge(args, "visibility", 1.0))
     elec = float(_merge(args, "elec-noise", 0.0))
     if not (math.isfinite(elec) and elec >= 0):
         raise UsageError("elec-noise must be finite and non-negative")
@@ -454,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float)
     p.add_argument("--visibility", type=float)
     p.add_argument("--elec-noise", type=float, dest="elec_noise")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, help="accepted for compatibility; runs are serial")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("verify", help="closed-form identity suite")

@@ -10,11 +10,11 @@ Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11): the
 trajectories are cut into fixed blocks of 4096, block b draws all its
 normals in one call from the generator seeded by (seed, b), and trajectory
 i takes row i mod 4096 of block i // 4096 (see ``trajectory_normals``).
-Results are therefore bit-identical across runs and worker counts, and
-trajectory i is the same whatever the trajectory count.  Within a row the
-draw order is fixed: alphabet draws, then the X outcome, its electronic
-noise, the P outcome, its noise.  Earlier versions seeded one generator per
-trajectory with (seed, i), so a given seed now yields different samples.
+Results are therefore bit-identical across runs, and trajectory i is the
+same whatever the trajectory count.  Within a row the draw order is fixed:
+alphabet draws, then the X outcome, its electronic noise, the P outcome,
+its noise.  Earlier versions seeded one generator per trajectory with
+(seed, i), so a given seed now yields different samples.
 
 Because the measurement conditioning is Gaussian, the per-shot clone
 covariance is outcome independent; the per-shot state is fully described by
@@ -32,9 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,9 +90,9 @@ class TrajectoryBatch:
     The record arrays hold one row per trajectory when the batch was run
     with ``keep_records=True`` and zero rows otherwise.  Aggregates are
     reproducible bit-exactly from (config, alphabet, seed, n_traj,
-    elec_noise), whatever ``workers`` and ``keep_records``.  Gains are
-    through-origin regression slopes of the clone mean on the input mean; a
-    gain is NaN when the input means carry no signal in that quadrature.
+    elec_noise), whatever ``keep_records``.  Gains are through-origin
+    regression slopes of the clone mean on the input mean; a gain is NaN
+    when the input means carry no signal in that quadrature.
     Variances combine the fixed conditional clone covariance with the
     outcome-induced mean scatter.  Standard errors are sample standard
     deviations over trajectories divided by sqrt(n_traj).
@@ -269,18 +266,6 @@ def _merge_in_order(block_sums) -> list:
     return functools.reduce(lambda acc, new: list(map(_merge, acc, new)), block_sums)
 
 
-def _in_order(pool, fn, n: int, window: int):
-    """``fn(0), ..., fn(n - 1)`` run on ``pool``, yielded in order, with at
-    most ``window`` + 1 of them submitted and not yet taken."""
-    pending: deque = deque()
-    for i in range(n):
-        pending.append(pool.submit(fn, i))
-        if len(pending) > window:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
 def run_batch(
     cfg: ClonerConfig,
     alphabet: Alphabet,
@@ -297,10 +282,9 @@ def run_batch(
     Blocks of 4096 trajectories each take one bulk normal draw keyed by
     (seed, block), simulate their rows and reduce them at once to a few
     dozen sums, which are merged in block order; no per-trajectory array
-    outlives its block, so memory does not grow with ``n_traj``.  Up to
-    ``workers`` threads (at most one per CPU and per block) may simulate
-    the blocks; every block owns its stream and the merge order is fixed,
-    so the result is independent of ``workers``.
+    outlives its block, so memory does not grow with ``n_traj``.  The
+    blocks run serially; ``workers`` must be positive and has no effect,
+    since threads measured no speed-up once aggregation streamed.
 
     With ``keep_records`` the per-trajectory input means, outcomes and
     clone means are kept as well, 48 bytes per trajectory (40 when only the
@@ -361,15 +345,7 @@ def run_batch(
         return sums + [_mean_sums(_shot_fidelity(means, clone, model.cond_var))]
 
     n_blocks = -(-n_traj // _CHUNK)
-    threads = min(workers, n_blocks)
-    if threads > 1:
-        # asked only for a pool: the call takes tens of microseconds
-        threads = min(threads, os.cpu_count() or 1)
-    if threads == 1:
-        fits = _merge_in_order(map(simulate, range(n_blocks)))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fits = _merge_in_order(_in_order(pool, simulate, n_blocks, 2 * threads))
+    fits = _merge_in_order(map(simulate, range(n_blocks)))
 
     return TrajectoryBatch(
         config=cfg,

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -211,7 +210,6 @@ def _two_pass(batch):
     return ref
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 4095, 4096, 4097, 50_000])
 @pytest.mark.parametrize(
     "cfg, alphabet",
@@ -224,8 +222,8 @@ def _two_pass(batch):
     ],
     ids=["gaussian", "known-phase", "heterodyne-known-phase"],
 )
-def test_streamed_aggregates_match_two_pass_reference(cfg, alphabet, n, workers):
-    streamed = run_batch(cfg, alphabet, n, seed=29, elec_noise=0.1, workers=workers)
+def test_streamed_aggregates_match_two_pass_reference(cfg, alphabet, n):
+    streamed = run_batch(cfg, alphabet, n, seed=29, elec_noise=0.1)
     recorded = run_batch(cfg, alphabet, n, seed=29, elec_noise=0.1, keep_records=True)
     assert len(recorded.input_means) == len(recorded.clone_means) == n
     ref = _two_pass(recorded)
@@ -260,44 +258,6 @@ def test_batch_without_records_has_empty_record_arrays():
     assert batch.clone_means.shape == (0, 2)
     with pytest.raises(ValueError, match="keep_records"):
         empirical_fidelity(batch)
-
-
-class _InlinePool:
-    """Stands in for ThreadPoolExecutor: records the pool size asked for and
-    runs every task at once in the calling thread."""
-
-    def __init__(self, sizes, max_workers):
-        sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
-def test_thread_pool_is_bounded_by_cpus_and_blocks(monkeypatch):
-    sizes = []
-    monkeypatch.setattr(
-        montecarlo, "ThreadPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers)
-    )
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
-    cfg, alphabet = gaussian_machine(0.83), SymmetricGaussian(1.72)
-    serial = run_batch(cfg, alphabet, 10 * 4096, seed=5)
-    assert sizes == []
-    few_blocks = run_batch(cfg, alphabet, 3 * 4096, seed=5, workers=10**6)
-    many_blocks = run_batch(cfg, alphabet, 10 * 4096, seed=5, workers=10**6)
-    assert sizes == [3, 4]
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
-    run_batch(cfg, alphabet, 10 * 4096, seed=5, workers=10**6)
-    assert sizes == [3, 4]  # an unknown CPU count runs serially
-    assert (many_blocks.f_hat, many_blocks.sigma_x) == (serial.f_hat, serial.sigma_x)
-    assert few_blocks.n_traj == 3 * 4096
 
 
 def test_run_batch_rejects_negative_seed():
