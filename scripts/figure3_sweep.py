@@ -7,7 +7,8 @@ estimate of the lossy machine.  Writes CSV and, when matplotlib is
 installed and --plot is given, a figure with the fidelity curves against
 sqrt(V).
 
-Example:
+Example, with cvclone installed (``pip install -e .``) or ``src`` on
+PYTHONPATH:
     python scripts/figure3_sweep.py --out fig3.csv --plot fig3.png
 """
 
@@ -15,13 +16,10 @@ import argparse
 import csv
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from cvclone.montecarlo import reproduce_figure3  # noqa: E402
+from cvclone.experiments import reproduce_figure3
 
 
 def main() -> int:

@@ -6,18 +6,15 @@ machine and for the lossy feedforward model, together with the fidelities,
 the classical baseline and the optimal bound, and optionally cross-checks
 the lossy figure with a Monte Carlo run.
 
-Example:
+Example, with cvclone installed (``pip install -e .``) or ``src`` on
+PYTHONPATH:
     python scripts/figure4_noise.py --trajectories 50000
 """
 
 import argparse
 import json
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from cvclone.montecarlo import reproduce_figure4  # noqa: E402
+from cvclone.experiments import reproduce_figure4
 
 
 def main() -> int:

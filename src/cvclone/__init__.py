@@ -9,7 +9,6 @@ Monte Carlo engine with experimental imperfections.
 
 from .benchmarks import (
     Alphabet,
-    FidelityReport,
     FlatLimit,
     KnownPhase,
     Regime,
@@ -50,14 +49,8 @@ from .gaussian import (
     tensor,
     vacuum,
 )
-from .montecarlo import (
-    TrajectoryBatch,
-    compare_with_analytic,
-    empirical_fidelity,
-    reproduce_figure3,
-    reproduce_figure4,
-    run_batch,
-)
+from .experiments import reproduce_figure3, reproduce_figure4
+from .montecarlo import TrajectoryBatch, compare_with_analytic, run_batch
 from .optimize import (
     OptimizationResult,
     golden_section_max,

@@ -27,7 +27,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .cloner import CloneStatistics, ClonerConfig
+from .cloner import CloneStatistics
 from .gaussian import GaussianState, fidelity_coherent_vs_gaussian
 
 UNIT_GAIN_TOL = 1e-9
@@ -39,7 +39,6 @@ __all__ = [
     "FlatLimit",
     "Alphabet",
     "Regime",
-    "FidelityReport",
     "average_fidelity",
     "gaussian_alphabet_fidelity",
     "optimal_gaussian_fidelity",
@@ -116,24 +115,6 @@ Alphabet = Union[SymmetricGaussian, KnownPhase, Single, FlatLimit]
 class Regime(enum.Enum):
     FEEDFORWARD = "feedforward"
     BEAM_SPLITTER_ONLY = "beam-splitter-only"
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    """Machine fidelity next to the optimal-Gaussian and classical baselines."""
-
-    f_machine: float
-    f_optimal_gaussian: float
-    f_classical: float
-    regime: Regime
-    params_used: ClonerConfig
-    mc_estimate: tuple[float, float] | None = None  # (fidelity, standard error)
-
-    def __post_init__(self):
-        for name in ("f_machine", "f_optimal_gaussian", "f_classical"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
 
 def average_fidelity(stats: CloneStatistics, alphabet: Alphabet) -> float:

@@ -427,10 +427,6 @@ class CloningCircuit:
         state = beam_splitter(state, 0, 1, 0.5)
         return records, state
 
-    def ensemble_state(self, elec_noise: float = 0.0) -> GaussianState:
-        """Deterministic average of the per-shot output over all outcomes."""
-        return clone_output_state(self.config, self.input_state, elec_noise)
-
     @staticmethod
     def _elec(rng: np.random.Generator, elec_noise: float) -> float:
         if elec_noise > 0.0:

@@ -24,8 +24,8 @@ splitter ancilla has zero mean), so one mean vector per shot describes both.
 
 Aggregation streams: each block reduces its trajectories to a few dozen
 sums as soon as it is simulated, and the blocks merge in block order, so
-memory does not grow with the trajectory count.  Per-trajectory records are
-kept only on request (``run_batch(..., keep_records=True)``).
+memory does not grow with the trajectory count.  The per-trajectory records
+of a block come from ``_simulate_block``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import benchmarks
 from .benchmarks import (
     Alphabet,
     FlatLimit,
@@ -44,20 +43,8 @@ from .benchmarks import (
     Single,
     SymmetricGaussian,
     average_fidelity,
-    classical_gaussian_alphabet,
-    classical_known_phase,
-    optimal_gaussian_fidelity,
-    phase_known_optimal_bound,
 )
-from .cloner import (
-    ClonerConfig,
-    _trajectory_model,
-    gaussian_machine,
-    heisenberg_clone_stats,
-    matched_gain,
-    phase_known_clone_stats,
-    phase_known_machine,
-)
+from .cloner import ClonerConfig, _trajectory_model, heisenberg_clone_stats
 
 # representative amplitudes for the known-phase alphabet; the statistics are
 # amplitude independent at unit gain, and the grid doubles as the
@@ -76,21 +63,17 @@ __all__ = [
     "TrajectoryBatch",
     "run_batch",
     "trajectory_normals",
-    "empirical_fidelity",
     "compare_with_analytic",
-    "reproduce_figure3",
-    "reproduce_figure4",
 ]
 
 
 @dataclass(frozen=True)
 class TrajectoryBatch:
-    """Aggregates, and on request the records, of one Monte Carlo run.
+    """Aggregates of one Monte Carlo run.
 
-    The record arrays hold one row per trajectory when the batch was run
-    with ``keep_records=True`` and zero rows otherwise.  Aggregates are
-    reproducible bit-exactly from (config, alphabet, seed, n_traj,
-    elec_noise), whatever ``keep_records``.  Gains are through-origin
+    The record arrays always have zero rows, since no per-trajectory array
+    outlives its block.  Aggregates are reproducible bit-exactly from
+    (config, alphabet, seed, n_traj, elec_noise).  Gains are through-origin
     regression slopes of the clone mean on the input mean; a gain is NaN
     when the input means carry no signal in that quadrature.
     Variances combine the fixed conditional clone covariance with the
@@ -103,9 +86,9 @@ class TrajectoryBatch:
     n_traj: int
     seed: int
     elec_noise: float
-    input_means: np.ndarray   # (n, 2), or (0, 2) without records
-    outcomes: np.ndarray      # (n, 1) or (n, 2) measured X (and P) outcomes
-    clone_means: np.ndarray   # (n, 2), shared by both clones
+    input_means: np.ndarray   # (0, 2)
+    outcomes: np.ndarray      # (0, 1), or (0, 2) when P is measured too
+    clone_means: np.ndarray   # (0, 2)
     clone_cov_diag: np.ndarray  # (2,) conditional marginal variances of a clone
     lambda_x: float
     lambda_p: float
@@ -266,32 +249,52 @@ def _merge_in_order(block_sums) -> list:
     return functools.reduce(lambda acc, new: list(map(_merge, acc, new)), block_sums)
 
 
+def _simulate_block(model, alphabet: Alphabet, elec_noise: float, seed: int, block: int,
+                    rows: int = _CHUNK) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """Input means, measured outcomes and clone means of the first ``rows``
+    trajectories of ``block``, from its one bulk normal draw.  The outcomes
+    are the X outcome column, and the P one when P is measured."""
+    n_alpha = _alphabet_draws(alphabet)
+    has_el = elec_noise > 0.0
+    k = n_alpha + (1 + int(has_el)) * (1 + int(model.has_p_outcome))
+    z = _block_normals(seed, block, k, rows)
+    means = np.empty((rows, 2))
+    _fill_input_means(alphabet, z[:, :n_alpha], block * _CHUNK, means)
+    clone = np.empty_like(means)
+    col = n_alpha
+    x_m = model.out_coeff_x * means[:, 0] + math.sqrt(model.out_var_x) * z[:, col]
+    col += 1
+    x_el = math.sqrt(elec_noise) * z[:, col] if has_el else 0.0
+    col += int(has_el)
+    clone[:, 0] = model.ax * means[:, 0] + model.bx * x_m + model.ex * x_el
+    if model.has_p_outcome:
+        p_m = model.out_coeff_p * means[:, 1] + math.sqrt(model.out_var_p) * z[:, col]
+        col += 1
+        p_el = math.sqrt(elec_noise) * z[:, col] if has_el else 0.0
+        clone[:, 1] = model.ap * means[:, 1] + model.bp * p_m + model.ep * p_el
+        return means, (x_m, p_m), clone
+    clone[:, 1] = model.ap * means[:, 1]
+    return means, (x_m,), clone
+
+
 def run_batch(
     cfg: ClonerConfig,
     alphabet: Alphabet,
     n_traj: int,
     seed: int,
     elec_noise: float = 0.0,
-    workers: int = 1,
-    keep_records: bool = False,
 ) -> TrajectoryBatch:
     """Simulate ``n_traj`` trajectories and aggregate the clone statistics.
 
     The per-shot model is the affine form extracted from the circuit
     (outcome sampling, Gaussian conditioning, feedforward displacement).
     Blocks of 4096 trajectories each take one bulk normal draw keyed by
-    (seed, block), simulate their rows and reduce them at once to a few
-    dozen sums, which are merged in block order; no per-trajectory array
-    outlives its block, so memory does not grow with ``n_traj``.  The
-    blocks run serially; ``workers`` must be positive and has no effect,
-    since threads measured no speed-up once aggregation streamed.
-
-    With ``keep_records`` the per-trajectory input means, outcomes and
-    clone means are kept as well, 48 bytes per trajectory (40 when only the
-    X outcome is measured); without it these arrays have zero rows.
-    ``n_traj`` may be at most ``MAX_TRAJECTORIES``, which bounds the run
-    time.  ``seed`` must be non-negative and ``elec_noise`` finite and
-    non-negative.
+    (seed, block), simulate their rows (``_simulate_block``) and reduce them
+    at once to a few dozen sums, which are merged in block order; no
+    per-trajectory array outlives its block, so memory does not grow with
+    ``n_traj``.  ``n_traj`` may be at most ``MAX_TRAJECTORIES``, which bounds
+    the run time.  ``seed`` must be non-negative and ``elec_noise`` finite
+    and non-negative.
     """
     if isinstance(alphabet, FlatLimit):
         raise ValueError("the flat limit is an analytic limit and cannot be sampled")
@@ -299,53 +302,19 @@ def run_batch(
         raise ValueError(f"n_traj must lie in [1, {MAX_TRAJECTORIES}], got {n_traj}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
 
     model = _trajectory_model(cfg, elec_noise)
-    n_alpha = _alphabet_draws(alphabet)
-    has_el = elec_noise > 0.0
-    k = n_alpha + 1 + int(has_el) + (1 + int(has_el)) * int(model.has_p_outcome)
 
-    rows = n_traj if keep_records else 0
-    input_means = np.empty((rows, 2))
-    outcomes = np.empty((rows, 1 + int(model.has_p_outcome)))
-    clone_means = np.empty((rows, 2))
-
-    def simulate(block: int) -> list:
-        start = block * _CHUNK
-        stop = min(start + _CHUNK, n_traj)
-        z = _block_normals(seed, block, k, stop - start)
-        means = np.empty((stop - start, 2))
-        _fill_input_means(alphabet, z[:, :n_alpha], start, means)
-        clone = np.empty_like(means)
-        col = n_alpha
-        x_m = model.out_coeff_x * means[:, 0] + math.sqrt(model.out_var_x) * z[:, col]
-        col += 1
-        x_el = math.sqrt(elec_noise) * z[:, col] if has_el else 0.0
-        col += int(has_el)
-        clone[:, 0] = model.ax * means[:, 0] + model.bx * x_m + model.ex * x_el
-        if model.has_p_outcome:
-            p_m = model.out_coeff_p * means[:, 1] + math.sqrt(model.out_var_p) * z[:, col]
-            col += 1
-            p_el = math.sqrt(elec_noise) * z[:, col] if has_el else 0.0
-            clone[:, 1] = model.ap * means[:, 1] + model.bp * p_m + model.ep * p_el
-        else:
-            clone[:, 1] = model.ap * means[:, 1]
-        if keep_records:
-            input_means[start:stop] = means
-            outcomes[start:stop, 0] = x_m
-            if model.has_p_outcome:
-                outcomes[start:stop, 1] = p_m
-            clone_means[start:stop] = clone
+    def reduce(block: int) -> list:
+        rows = min(_CHUNK, n_traj - block * _CHUNK)
+        means, _, clone = _simulate_block(model, alphabet, elec_noise, seed, block, rows)
         sums = []
         for q in (0, 1):
             fit = _fit_sums(means[:, q], clone[:, q])
             sums += [fit, _mean_sums(clone[:, q]) if fit[1][0] < _NO_SIGNAL else None]
         return sums + [_mean_sums(_shot_fidelity(means, clone, model.cond_var))]
 
-    n_blocks = -(-n_traj // _CHUNK)
-    fits = _merge_in_order(map(simulate, range(n_blocks)))
+    fits = _merge_in_order(map(reduce, range(-(-n_traj // _CHUNK))))
 
     return TrajectoryBatch(
         config=cfg,
@@ -353,32 +322,12 @@ def run_batch(
         n_traj=n_traj,
         seed=seed,
         elec_noise=elec_noise,
-        input_means=input_means,
-        outcomes=outcomes,
-        clone_means=clone_means,
+        input_means=np.empty((0, 2)),
+        outcomes=np.empty((0, 1 + int(model.has_p_outcome))),
+        clone_means=np.empty((0, 2)),
         clone_cov_diag=model.cond_var.copy(),
         **_statistics(fits, n_traj, model.cond_var),
     )
-
-
-def empirical_fidelity(batch: TrajectoryBatch, alphabet: Alphabet | None = None) -> tuple[float, float]:
-    """Mean single-shot fidelity over the trajectory records.
-
-    Each shot contributes the overlap between its known coherent input and
-    the clone Gaussian of that shot (realised mean, fixed conditional
-    covariance).  Returns (estimate, standard error).  The batch must hold
-    its records (``run_batch(..., keep_records=True)``).
-    """
-    if batch.n_traj < 1:
-        raise ValueError("batch is empty")
-    if len(batch.clone_means) != batch.n_traj:
-        raise ValueError("batch holds no trajectory records; run it with keep_records=True")
-    if alphabet is not None and alphabet != batch.alphabet:
-        raise ValueError("alphabet does not match the batch records")
-    f = _shot_fidelity(batch.input_means, batch.clone_means, batch.clone_cov_diag)
-    n = len(f)
-    se = float(np.std(f, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return float(np.mean(f)), se
 
 
 def compare_with_analytic(batch: TrajectoryBatch) -> dict[str, dict[str, float]]:
@@ -424,89 +373,3 @@ def compare_with_analytic(batch: TrajectoryBatch) -> dict[str, dict[str, float]]
             z = math.inf
         table[name] = {"empirical": emp, "analytic": analytic[name], "se": se, "z": z}
     return table
-
-
-def reproduce_figure3(
-    v_grid,
-    eta_ff: float = 0.95,
-    visibility: float = 0.99,
-    n_traj: int = 20000,
-    seed: int = 20240601,
-) -> list[dict[str, float]]:
-    """Fidelity-versus-width table: ideal optimum, lossy machine, classical
-    baseline and a Monte Carlo estimate of the lossy machine at each V.
-
-    The lossy machine keeps the gain re-tuned to the ideal optical gain, so
-    in the beam-splitter regime (zero gain) its curve coincides exactly with
-    the ideal one.
-    """
-    rows = []
-    for i, v in enumerate(v_grid):
-        opt = optimal_gaussian_fidelity(v)
-        ideal_cfg = gaussian_machine(opt.t1)
-        lossy_cfg = gaussian_machine(opt.t1, eta_ff, visibility)
-        alphabet = SymmetricGaussian(v)
-        f_ideal = average_fidelity(heisenberg_clone_stats(ideal_cfg), alphabet)
-        f_lossy = average_fidelity(heisenberg_clone_stats(lossy_cfg), alphabet)
-        batch = run_batch(lossy_cfg, alphabet, n_traj, seed + i)
-        rows.append(
-            {
-                "sqrt_v": math.sqrt(v),
-                "v": v,
-                "t1": opt.t1,
-                "gain": matched_gain(opt.t1),
-                "f_ideal": f_ideal,
-                "f_imperfect": f_lossy,
-                "f_classical": classical_gaussian_alphabet(v).fidelity,
-                "f_mc": batch.f_hat,
-                "se_mc": batch.se_f,
-            }
-        )
-    return rows
-
-
-def reproduce_figure4(
-    eta_ff: float = 0.95,
-    visibility: float = 0.99,
-    lambda_x: float = 1.0,
-    anc1=(1.0, 1.0),
-    anc3=(1.0, 1.0),
-    n_traj: int = 0,
-    seed: int = 20240601,
-) -> dict:
-    """Amplitude-noise report of the phase-known machine, in dB above shot
-    noise, next to its fidelity, the classical baseline and the optimal
-    bound.
-
-    The lossy machine re-tunes the gain to the requested amplitude gain.
-    At unit gain the fidelity is the exact known-phase average; away from
-    it the report averages the single-shot fidelity over the representative
-    amplitude grid, since the flat-amplitude average is undefined there.
-    """
-    ideal_stats = phase_known_clone_stats(anc1, anc3)
-    lossy_cfg = phase_known_machine(anc1, anc3, eta_ff, visibility, lambda_x)
-    lossy_stats = heisenberg_clone_stats(lossy_cfg)
-    report = {
-        "ideal_noise_db": 10.0 * math.log10(ideal_stats.sigma_x),
-        "imperfect_noise_db": 10.0 * math.log10(lossy_stats.sigma_x),
-        "f_ideal": average_fidelity(ideal_stats, KnownPhase()),
-        "f_imperfect": _known_phase_fidelity(lossy_stats),
-        "f_classical": classical_known_phase().fidelity,
-        "f_bound": phase_known_optimal_bound().fidelity,
-        "lambda_x": lossy_stats.lambda_x,
-    }
-    if n_traj > 0:
-        batch = run_batch(lossy_cfg, KnownPhase(), n_traj, seed)
-        report["f_mc"] = batch.f_hat
-        report["se_mc"] = batch.se_f
-    return report
-
-
-def _known_phase_fidelity(stats) -> float:
-    if abs(stats.lambda_x - 1.0) <= benchmarks.UNIT_GAIN_TOL:
-        return average_fidelity(stats, KnownPhase())
-    amps = np.asarray(KNOWN_PHASE_AMPLITUDES)
-    gx = 1.0 + stats.sigma_x
-    gp = 1.0 + stats.sigma_p
-    f = 2.0 / math.sqrt(gx * gp) * np.exp(-0.5 * ((stats.lambda_x - 1.0) * amps) ** 2 / gx)
-    return float(np.mean(f))

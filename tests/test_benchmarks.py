@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cvclone.benchmarks import (
     BEAM_SPLITTER_THRESHOLD,
-    FidelityReport,
     FlatLimit,
     KnownPhase,
     Regime,
@@ -161,11 +160,3 @@ def test_average_fidelity_decreases_with_alphabet_width(lam, v1, v2):
     f_lo = average_fidelity(stats, SymmetricGaussian(lo))
     f_hi = average_fidelity(stats, SymmetricGaussian(hi))
     assert f_hi < f_lo + 1e-15
-
-
-def test_fidelity_report_validation():
-    cfg = gaussian_machine(0.83)
-    report = FidelityReport(0.78, 0.7845, 0.56, Regime.FEEDFORWARD, cfg)
-    assert report.mc_estimate is None
-    with pytest.raises(ValueError):
-        FidelityReport(1.5, 0.78, 0.56, Regime.FEEDFORWARD, cfg)

@@ -4,7 +4,8 @@ import math
 import pytest
 
 from cvclone import cli
-from cvclone.benchmarks import optimal_gaussian_fidelity
+from cvclone.benchmarks import SymmetricGaussian, average_fidelity, optimal_gaussian_fidelity
+from cvclone.cloner import ClonerConfig, heisenberg_clone_stats
 
 
 def run_cli(capsys, *argv):
@@ -15,8 +16,7 @@ def run_cli(capsys, *argv):
 
 def test_sweep_csv_output(capsys):
     code, out, _ = run_cli(
-        capsys, "sweep", "--alphabet", "gaussian",
-        "--vmin", "1.72", "--vmax", "4", "--steps", "16",
+        capsys, "sweep", "--vmin", "1.72", "--vmax", "4", "--steps", "16",
     )
     assert code == 0
     lines = out.strip().splitlines()
@@ -102,6 +102,18 @@ def test_sweep_fixed_mode(capsys):
         capsys, "sweep", "--vmin", "1", "--vmax", "2", "--steps", "2", "--mode", "fixed"
     )
     assert code == 2 and "t1" in err
+
+
+def test_sweep_fixed_mode_uses_each_gain(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--vmin", "1.72", "--vmax", "3", "--steps", "2", "--format", "json",
+        "--mode", "fixed", "--t1", "0.83", "--gx", "0.64", "--gp", "0.7",
+    )
+    assert code == 0
+    row = json.loads(out)[0]
+    assert row["gain"] == 0.64
+    stats = heisenberg_clone_stats(ClonerConfig(t1=0.83, t2=0.5, g_x=0.64, g_p=0.7))
+    assert row["F_ideal"] == average_fidelity(stats, SymmetricGaussian(1.72))
 
 
 def test_optimize_json_report(capsys):
@@ -284,6 +296,69 @@ def test_config_file_errors(tmp_path, capsys):
     assert code == 2 and "JSON object" in err
     code, _, _ = run_cli(capsys, "optimize", "--config", str(tmp_path / "none.json"), "--V", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, values, message",
+    [
+        # a traceback and exit 1 before
+        (["mc", "--trajectories", "10"], {"V": [1]}, "'V' must be a number, got [1]"),
+        # silently ran 2 steps before
+        (["sweep", "--vmin", "1", "--vmax", "2"], {"steps": 2.7},
+         "'steps' must be an integer, got 2.7"),
+        # ran the phase-known machine before
+        (["mc", "--trajectories", "10"], {"phase-known": "no"},
+         "'phase-known' must be true or false, got \"no\""),
+        # said "invalid literal for int()" before
+        (["mc", "--V", "1.72"], {"trajectories": "abc"},
+         "'trajectories' must be an integer, got \"abc\""),
+        (["sweep", "--vmin", "1", "--vmax", "2", "--steps", "3"], {"mode": "best"},
+         "'mode' must be one of optimal, fixed, got \"best\""),
+        # JSON booleans are not numbers, although Python's bool is an int
+        (["mc", "--trajectories", "10"], {"V": True}, "'V' must be a number, got true"),
+        (["mc", "--V", "1.72"], {"trajectories": True},
+         "'trajectories' must be an integer, got true"),
+    ],
+    ids=[
+        "float-list", "int-float", "bool-string", "int-string", "choice", "float-bool", "int-bool",
+    ],
+)
+def test_config_values_must_have_the_flag_type(tmp_path, capsys, command, values, message):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(values))
+    code, out, err = run_cli(capsys, *command, "--config", str(config))
+    assert code == 2 and out == ""
+    assert err == f"error: config key {message}\n"
+
+
+def test_config_numbers_convert_to_the_flag_type(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"V": 2, "trajectories": 500, "phase-known": False}))
+    code, out, _ = run_cli(capsys, "mc", "--config", str(config), "--seed", "3")
+    assert code == 0
+    report = json.loads(out)["config"]
+    assert report["V"] == 2.0 and isinstance(report["V"], float)
+    assert report["trajectories"] == 500
+
+
+def test_bad_seed_from_environment_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("CVCLONE_SEED", "abc")
+    code, out, err = run_cli(capsys, "mc", "--V", "1.72", "--trajectories", "100")
+    assert code == 2 and out == ""
+    assert err == "error: CVCLONE_SEED must be an integer, got 'abc'\n"
+    # an explicit --seed does not read the variable
+    code, _, _ = run_cli(capsys, "mc", "--V", "1.72", "--trajectories", "100", "--seed", "1")
+    assert code == 0
+
+
+@pytest.mark.parametrize("flag, value", [("gx", "nan"), ("gp", "inf")])
+def test_sweep_fixed_mode_names_a_non_finite_gain(capsys, flag, value):
+    code, out, err = run_cli(
+        capsys, "sweep", "--vmin", "1", "--vmax", "2", "--steps", "3",
+        "--mode", "fixed", "--t1", "0.8", f"--{flag}", value,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be finite, got {value}\n"
 
 
 def test_unknown_flags_exit_2(capsys):

@@ -169,7 +169,7 @@ def _marginal_stats(two_clone_state, mode, input_mean):
 )
 def test_circuit_ensemble_matches_analytic_stats(cfg):
     inp = coherent(3.0, -2.0)
-    out = build_circuit(cfg, inp).ensemble_state()
+    out = clone_output_state(cfg, inp)
     stats = heisenberg_clone_stats(cfg)
     for mode in (0, 1):
         lam_x, lam_p, sig_x, sig_p = _marginal_stats(out, mode, (3.0, -2.0))
@@ -216,7 +216,7 @@ def test_inter_clone_covariance_matches_circuit_sampling():
 
 def test_full_transmittance_circuit_is_a_balanced_splitter():
     cfg = ClonerConfig(t1=1.0, t2=0.5, g_x=0.0, g_p=0.0)
-    out = build_circuit(cfg, coherent(2.0, 0.0)).ensemble_state()
+    out = clone_output_state(cfg, coherent(2.0, 0.0))
     s = math.sqrt(2.0)
     assert np.allclose(out.mean, [s, 0.0, s, 0.0], atol=1e-12)
     assert np.allclose(out.cov, np.eye(4), atol=1e-12)

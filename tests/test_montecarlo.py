@@ -22,20 +22,33 @@ from cvclone.cloner import (
     heisenberg_clone_stats,
     phase_known_machine,
 )
+from cvclone.experiments import reproduce_figure3, reproduce_figure4
 from cvclone.gaussian import coherent
 from cvclone.montecarlo import (
     KNOWN_PHASE_AMPLITUDES,
     MAX_TRAJECTORIES,
-    TrajectoryBatch,
+    _shot_fidelity,
+    _simulate_block,
     compare_with_analytic,
-    empirical_fidelity,
-    reproduce_figure3,
-    reproduce_figure4,
     run_batch,
     trajectory_normals,
 )
 
 SQ85 = (math.sqrt(8 / 5), math.sqrt(5 / 8))
+
+
+def _records(cfg, alphabet, n, seed, elec_noise=0.0):
+    """Input means, outcomes and clone means of trajectories 0..n-1, block
+    by block as run_batch simulates them, and the conditional variances."""
+    model = _trajectory_model(cfg, elec_noise)
+    blocks = [
+        _simulate_block(model, alphabet, elec_noise, seed, b, min(4096, n - 4096 * b))
+        for b in range(-(-n // 4096))
+    ]
+    means = np.concatenate([block[0] for block in blocks])
+    outcomes = np.concatenate([np.column_stack(block[1]) for block in blocks])
+    clone = np.concatenate([block[2] for block in blocks])
+    return means, outcomes, clone, model.cond_var
 
 
 def test_run_batch_validates_arguments():
@@ -44,8 +57,6 @@ def test_run_batch_validates_arguments():
         run_batch(cfg, SymmetricGaussian(1.0), 0, seed=1)
     with pytest.raises(ValueError):
         run_batch(cfg, FlatLimit(), 100, seed=1)
-    with pytest.raises(ValueError):
-        run_batch(cfg, SymmetricGaussian(1.0), 100, seed=1, workers=0)
 
 
 def test_run_batch_bounds_trajectory_count_before_allocating(monkeypatch):
@@ -95,30 +106,31 @@ def test_batch_trajectories_match_explicit_circuit_runs():
     cfg = gaussian_machine(0.7, anc1=(1.5, 1.4 / 1.5), anc3=(0.8, 1.25))
     alphabet = Single(2.0, -1.0)
     seed, n = 404, 4100
-    batch = run_batch(cfg, alphabet, n, seed=seed, keep_records=True)
-    assert len(batch.outcomes) == len(batch.clone_means) == n
+    _, outcomes, clone_means, cond_var = _records(cfg, alphabet, n, seed)
+    assert len(outcomes) == len(clone_means) == n
+    assert run_batch(cfg, alphabet, n, seed=seed).clone_cov_diag.tobytes() == cond_var.tobytes()
     circuit = build_circuit(cfg, coherent(2.0, -1.0))
     for i in [*range(200), 4095, 4096, 4099]:
         records, state = circuit.run(_Replay(seed, i, 2))
-        assert records[0].outcome == pytest.approx(batch.outcomes[i, 0], abs=1e-9)
-        assert records[1].outcome == pytest.approx(batch.outcomes[i, 1], abs=1e-9)
-        assert state.mode_mean(0)[0] == pytest.approx(batch.clone_means[i, 0], abs=1e-9)
-        assert state.mode_mean(0)[1] == pytest.approx(batch.clone_means[i, 1], abs=1e-9)
-        assert state.mode_cov(0)[0, 0] == pytest.approx(batch.clone_cov_diag[0], abs=1e-9)
-        assert state.mode_cov(0)[1, 1] == pytest.approx(batch.clone_cov_diag[1], abs=1e-9)
+        assert records[0].outcome == pytest.approx(outcomes[i, 0], abs=1e-9)
+        assert records[1].outcome == pytest.approx(outcomes[i, 1], abs=1e-9)
+        assert state.mode_mean(0)[0] == pytest.approx(clone_means[i, 0], abs=1e-9)
+        assert state.mode_mean(0)[1] == pytest.approx(clone_means[i, 1], abs=1e-9)
+        assert state.mode_cov(0)[0, 0] == pytest.approx(cond_var[0], abs=1e-9)
+        assert state.mode_cov(0)[1, 1] == pytest.approx(cond_var[1], abs=1e-9)
 
 
 def test_batch_trajectories_match_circuit_with_loss_and_elec_noise():
     cfg = gaussian_machine(0.83, eta_ff=0.95, visibility=0.99)
     seed, n = 77, 100
-    batch = run_batch(cfg, Single(3.0, 1.0), n, seed=seed, elec_noise=0.4, keep_records=True)
-    assert len(batch.clone_means) == n
+    _, _, clone_means, _ = _records(cfg, Single(3.0, 1.0), n, seed, elec_noise=0.4)
+    assert len(clone_means) == n
     circuit = build_circuit(cfg, coherent(3.0, 1.0))
     for i in range(0, n, 7):
         # X outcome, its electronic noise, P outcome, its electronic noise
         _, state = circuit.run(_Replay(seed, i, 4), elec_noise=0.4)
-        assert state.mode_mean(0)[0] == pytest.approx(batch.clone_means[i, 0], abs=1e-9)
-        assert state.mode_mean(0)[1] == pytest.approx(batch.clone_means[i, 1], abs=1e-9)
+        assert state.mode_mean(0)[0] == pytest.approx(clone_means[i, 0], abs=1e-9)
+        assert state.mode_mean(0)[1] == pytest.approx(clone_means[i, 1], abs=1e-9)
 
 
 def test_trajectory_normals_are_rows_of_the_block_stream():
@@ -140,55 +152,50 @@ def test_trajectory_normals_are_rows_of_the_block_stream():
 def test_records_are_prefixes_of_a_longer_run(cfg, alphabet):
     # trajectory i is the same whatever n is; for the known-phase alphabet
     # this also pins the amplitude grid to the global index i
-    full = run_batch(cfg, alphabet, 10_000, seed=17, elec_noise=0.1, keep_records=True)
-    assert len(full.input_means) == len(full.outcomes) == len(full.clone_means) == 10_000
+    full = _records(cfg, alphabet, 10_000, seed=17, elec_noise=0.1)[:3]
+    assert [len(a) for a in full] == [10_000] * 3
     for n in (1, 4095, 4096, 4097, 10_000):
-        part = run_batch(cfg, alphabet, n, seed=17, elec_noise=0.1, keep_records=True)
-        assert len(part.input_means) == len(part.outcomes) == len(part.clone_means) == n
-        assert part.input_means.tobytes() == full.input_means[:n].tobytes()
-        assert part.clone_means.tobytes() == full.clone_means[:n].tobytes()
-        assert part.outcomes.tobytes() == full.outcomes[:n].tobytes()
+        part = _records(cfg, alphabet, n, seed=17, elec_noise=0.1)[:3]
+        assert [len(a) for a in part] == [n] * 3
+        for a, b in zip(part, full):
+            assert a.tobytes() == b[:n].tobytes()
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=3 * 4096),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    workers=st.sampled_from([1, 2]),
 )
-def test_block_streams_are_prefix_and_worker_invariant(n, seed, workers):
+def test_block_streams_are_prefix_invariant(n, seed):
     cfg = gaussian_machine(0.83, eta_ff=0.95, visibility=0.99)
-    full = run_batch(cfg, SymmetricGaussian(1.72), 3 * 4096, seed, keep_records=True)
-    part = run_batch(cfg, SymmetricGaussian(1.72), n, seed, workers=workers, keep_records=True)
-    assert len(full.clone_means) == 3 * 4096
-    assert len(part.clone_means) == len(part.outcomes) == n
-    assert part.clone_means.tobytes() == full.clone_means[:n].tobytes()
-    assert part.outcomes.tobytes() == full.outcomes[:n].tobytes()
+    _, full_outcomes, full_clone, _ = _records(cfg, SymmetricGaussian(1.72), 3 * 4096, seed)
+    _, outcomes, clone_means, _ = _records(cfg, SymmetricGaussian(1.72), n, seed)
+    assert len(full_clone) == 3 * 4096
+    assert len(clone_means) == len(outcomes) == n
+    assert clone_means.tobytes() == full_clone[:n].tobytes()
+    assert outcomes.tobytes() == full_outcomes[:n].tobytes()
 
 
-def test_same_seed_same_aggregates_across_workers():
+def test_same_seed_same_aggregates():
     cfg = gaussian_machine(0.83)
-    a = run_batch(cfg, SymmetricGaussian(1.72), 20_000, seed=9, workers=1, keep_records=True)
-    b = run_batch(cfg, SymmetricGaussian(1.72), 20_000, seed=9, workers=8, keep_records=True)
-    assert len(a.clone_means) == len(b.clone_means) == 20_000
-    assert a.clone_means.tobytes() == b.clone_means.tobytes()
-    assert a.outcomes.tobytes() == b.outcomes.tobytes()
-    assert (a.lambda_x, a.sigma_x, a.sigma_p, a.f_hat) == (b.lambda_x, b.sigma_x, b.sigma_p, b.f_hat)
-    c = run_batch(cfg, SymmetricGaussian(1.72), 20_000, seed=9, workers=1)
-    assert c.f_hat == a.f_hat
+    a = run_batch(cfg, SymmetricGaussian(1.72), 20_000, seed=9)
+    b = run_batch(cfg, SymmetricGaussian(1.72), 20_000, seed=9)
+    keys = ("lambda_x", "lambda_p", "sigma_x", "sigma_p", "f_hat",
+            "se_lambda_x", "se_lambda_p", "se_sigma_x", "se_sigma_p", "se_f")
+    assert [getattr(a, k) for k in keys] == [getattr(b, k) for k in keys]
 
 
-def _two_pass(batch):
+def _two_pass(input_means, clone_means, cond_var):
     """The estimators written out over the records: per quadrature the
     through-origin slope (NaN without signal, the residual then taken against
     the mean), sigma = cond_var + mean(residual^2), standard errors from
     sample standard deviations, and the mean per-shot fidelity.  The spread
     of the per-shot variance is taken on residual^2 alone, which is the same
     number as on cond_var + residual^2 without the rounding of the sum."""
-    n = batch.n_traj
+    n = len(input_means)
     ref = {}
     for q, name in enumerate("xp"):
-        x, y = batch.input_means[:, q], batch.clone_means[:, q]
+        x, y = input_means[:, q], clone_means[:, q]
         sxx = float(x @ x)
         if sxx < 1e-12:
             lam = se_lam = math.nan
@@ -200,10 +207,10 @@ def _two_pass(batch):
         r2 = resid**2
         ref[f"lambda_{name}"] = lam
         ref[f"se_lambda_{name}"] = se_lam
-        ref[f"sigma_{name}"] = batch.clone_cov_diag[q] + float(np.mean(r2))
+        ref[f"sigma_{name}"] = cond_var[q] + float(np.mean(r2))
         ref[f"se_sigma_{name}"] = float(np.std(r2, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    gx, gp = 1.0 + batch.clone_cov_diag
-    d = batch.clone_means - batch.input_means
+    gx, gp = 1.0 + cond_var
+    d = clone_means - input_means
     f = 2.0 / math.sqrt(gx * gp) * np.exp(-0.5 * (d[:, 0] ** 2 / gx + d[:, 1] ** 2 / gp))
     ref["f_hat"] = float(np.mean(f))
     ref["se_f"] = float(np.std(f, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
@@ -224,11 +231,11 @@ def _two_pass(batch):
 )
 def test_streamed_aggregates_match_two_pass_reference(cfg, alphabet, n):
     streamed = run_batch(cfg, alphabet, n, seed=29, elec_noise=0.1)
-    recorded = run_batch(cfg, alphabet, n, seed=29, elec_noise=0.1, keep_records=True)
-    assert len(recorded.input_means) == len(recorded.clone_means) == n
-    ref = _two_pass(recorded)
+    input_means, _, clone_means, cond_var = _records(cfg, alphabet, n, seed=29, elec_noise=0.1)
+    assert len(input_means) == len(clone_means) == n
+    assert streamed.clone_cov_diag.tobytes() == cond_var.tobytes()
+    ref = _two_pass(input_means, clone_means, cond_var)
     for key, value in ref.items():
-        assert getattr(recorded, key) == getattr(streamed, key) or math.isnan(value), key
         # an exact zero, such as se_sigma of a mean fit at n = 2, is
         # compared to an absolute 1e-15, far below any standard error here
         expected = pytest.approx(value, rel=1e-12, abs=1e-15, nan_ok=True)
@@ -256,8 +263,7 @@ def test_batch_without_records_has_empty_record_arrays():
     assert batch.input_means.shape == (0, 2)
     assert batch.outcomes.shape == (0, 1)
     assert batch.clone_means.shape == (0, 2)
-    with pytest.raises(ValueError, match="keep_records"):
-        empirical_fidelity(batch)
+    assert run_batch(gaussian_machine(0.5), Single(1.0, 1.0), 10, seed=1).outcomes.shape == (0, 2)
 
 
 def test_run_batch_rejects_negative_seed():
@@ -295,69 +301,25 @@ def test_published_operating_point_batch():
 def test_unity_gain_machine_reaches_two_thirds_for_any_alphabet():
     cfg = gaussian_machine(0.5)
     for v, seed in ((0.5, 21), (3.0, 22)):
-        batch = run_batch(cfg, SymmetricGaussian(v), 50_000, seed=seed, keep_records=True)
-        assert len(batch.clone_means) == 50_000
-        f, se = empirical_fidelity(batch)
-        assert f == pytest.approx(2 / 3, abs=4 * se)
+        batch = run_batch(cfg, SymmetricGaussian(v), 50_000, seed=seed)
+        assert batch.f_hat == pytest.approx(2 / 3, abs=4 * batch.se_f)
 
 
 def test_phase_known_batch_and_amplitude_independence():
-    batch = run_batch(phase_known_machine(), KnownPhase(), 80_000, seed=13, keep_records=True)
-    assert len(batch.input_means) == len(batch.clone_means) == 80_000
-    f, se = empirical_fidelity(batch)
-    assert f == pytest.approx(2 / math.sqrt(5), abs=4 * se)
+    cfg = phase_known_machine()
+    batch = run_batch(cfg, KnownPhase(), 80_000, seed=13)
+    assert batch.f_hat == pytest.approx(2 / math.sqrt(5), abs=4 * batch.se_f)
     assert math.isnan(batch.lambda_p)
     # per-amplitude estimates agree pairwise within 3 combined SEs
-    amps = batch.input_means[:, 0]
+    input_means, _, clone_means, cond_var = _records(cfg, KnownPhase(), 80_000, seed=13)
+    f = _shot_fidelity(input_means, clone_means, cond_var)
+    assert float(np.mean(f)) == pytest.approx(batch.f_hat, rel=1e-12)
     per_amp = []
     for a in KNOWN_PHASE_AMPLITUDES:
-        sel = amps == a
-        sub_f = _fidelity_subset(batch, sel)
-        per_amp.append(sub_f)
+        sub = f[input_means[:, 0] == a]
+        per_amp.append((float(np.mean(sub)), float(np.std(sub, ddof=1)) / math.sqrt(len(sub))))
     for (fa, sa), (fb, sb) in zip(per_amp, per_amp[1:]):
         assert abs(fa - fb) <= 3.0 * math.hypot(sa, sb)
-
-
-def _fidelity_subset(batch, sel):
-    sub = TrajectoryBatch(
-        config=batch.config,
-        alphabet=batch.alphabet,
-        n_traj=int(sel.sum()),
-        seed=batch.seed,
-        elec_noise=batch.elec_noise,
-        input_means=batch.input_means[sel],
-        outcomes=batch.outcomes[sel],
-        clone_means=batch.clone_means[sel],
-        clone_cov_diag=batch.clone_cov_diag,
-        lambda_x=math.nan, lambda_p=math.nan,
-        sigma_x=math.nan, sigma_p=math.nan, f_hat=math.nan,
-        se_lambda_x=math.nan, se_lambda_p=math.nan,
-        se_sigma_x=math.nan, se_sigma_p=math.nan, se_f=math.nan,
-    )
-    return empirical_fidelity(sub)
-
-
-def test_empirical_fidelity_of_perfect_passthrough():
-    # degenerate machine: clone = input exactly, still one record per shot
-    means = np.array([[2.0, 0.0], [0.0, 1.0], [-3.0, 4.0]])
-    batch = TrajectoryBatch(
-        config=gaussian_machine(0.5),
-        alphabet=Single(2.0, 0.0),
-        n_traj=3,
-        seed=0,
-        elec_noise=0.0,
-        input_means=means,
-        outcomes=np.zeros((3, 1)),
-        clone_means=means.copy(),
-        clone_cov_diag=np.array([1.0, 1.0]),
-        lambda_x=1.0, lambda_p=1.0, sigma_x=1.0, sigma_p=1.0, f_hat=1.0,
-        se_lambda_x=0.0, se_lambda_p=0.0, se_sigma_x=0.0, se_sigma_p=0.0, se_f=0.0,
-    )
-    f, se = empirical_fidelity(batch)
-    assert f == 1.0
-    assert se == 0.0
-    with pytest.raises(ValueError):
-        empirical_fidelity(batch, SymmetricGaussian(1.0))
 
 
 def test_electronic_noise_hook():

@@ -1,0 +1,49 @@
+"""The figure scripts run end to end, loaded by path as a user runs them."""
+
+import csv
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run(monkeypatch, name, *argv):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr("sys.argv", [f"{name}.py", *argv])
+    return script.main()
+
+
+def test_figure3_script_writes_the_sweep_csv(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "fig3.csv"
+    assert _run(monkeypatch, "figure3_sweep", "--trajectories", "500", "--out", str(out)) == 0
+    assert capsys.readouterr().out.startswith(f"wrote 13 rows to {out}\n")
+    with open(out, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == [
+        "sqrt_v", "v", "t1", "gain", "f_ideal", "f_imperfect", "f_classical", "f_mc", "se_mc",
+    ]
+    assert len(rows) == 13
+    assert float(rows[0]["sqrt_v"]) == pytest.approx(0.5)
+    assert float(rows[-1]["sqrt_v"]) == pytest.approx(2.3)
+    for row in rows:
+        se = float(row["se_mc"])
+        assert 0.0 < se < 0.05
+        assert abs(float(row["f_mc"]) - float(row["f_imperfect"])) <= 5.0 * se
+
+
+def test_figure4_script_prints_the_noise_report(monkeypatch, capsys):
+    assert _run(monkeypatch, "figure4_noise", "--trajectories", "1000") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {
+        "ideal_noise_db", "imperfect_noise_db", "f_ideal", "f_imperfect",
+        "f_classical", "f_bound", "lambda_x", "f_mc", "se_mc",
+    }
+    assert all(math.isfinite(value) for value in report.values())
+    assert abs(report["f_mc"] - report["f_imperfect"]) <= 5.0 * report["se_mc"]
