@@ -35,14 +35,17 @@ def main() -> int:
     ap.add_argument("--plot", default=None, help="optional PNG path")
     args = ap.parse_args()
 
-    sqrt_v = np.linspace(args.sqrt_vmin, args.sqrt_vmax, args.steps)
-    rows = reproduce_figure3(
-        (sqrt_v**2).tolist(),
-        eta_ff=args.eta,
-        visibility=args.visibility,
-        n_traj=args.trajectories,
-        seed=args.seed,
-    )
+    try:
+        sqrt_v = np.linspace(args.sqrt_vmin, args.sqrt_vmax, args.steps)
+        rows = reproduce_figure3(
+            (sqrt_v**2).tolist(),
+            eta_ff=args.eta,
+            visibility=args.visibility,
+            n_traj=args.trajectories,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        ap.error(str(exc))
 
     fields = ["sqrt_v", "v", "t1", "gain", "f_ideal", "f_imperfect", "f_classical", "f_mc", "se_mc"]
     with open(args.out, "w", newline="") as fh:

@@ -26,13 +26,16 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=20240601)
     args = ap.parse_args()
 
-    report = reproduce_figure4(
-        eta_ff=args.eta,
-        visibility=args.visibility,
-        lambda_x=args.lambda_x,
-        n_traj=args.trajectories,
-        seed=args.seed,
-    )
+    try:
+        report = reproduce_figure4(
+            eta_ff=args.eta,
+            visibility=args.visibility,
+            lambda_x=args.lambda_x,
+            n_traj=args.trajectories,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        ap.error(str(exc))
     print(json.dumps(report, indent=2))
     return 0
 

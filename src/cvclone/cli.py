@@ -51,8 +51,9 @@ class UsageError(Exception):
     pass
 
 
-def _load_config(path: str | None, flags: list[argparse.Action]) -> dict:
-    """The config file's values, each checked against the type of its flag."""
+def _load_config(path: str | None, flags: list[argparse.Action], prog: str) -> dict:
+    """The config file's values, each checked against the type of its flag;
+    a key that names no flag of ``prog`` is an error."""
     if not path:
         return {}
     try:
@@ -68,7 +69,7 @@ def _load_config(path: str | None, flags: list[argparse.Action]) -> dict:
     for key, value in data.items():
         action = actions.get(key.replace("-", "_"))
         if action is None:
-            continue
+            raise UsageError(f"config key {key!r} names no flag of {prog}")
         if action.const is True:
             ok, want = type(value) is bool, "true or false"
         elif action.choices is not None:
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON file with default flag values")
-        p.set_defaults(func=func, _flags=p._actions)
+        p.set_defaults(func=func, _flags=p._actions, _prog=p.prog)
         return p
 
     p = command("sweep", cmd_sweep, "fidelity-vs-V table (CSV or JSON)")
@@ -343,7 +344,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._config_values = _load_config(args.config, args._flags)
+        args._config_values = _load_config(args.config, args._flags, args._prog)
         return args.func(args)
     except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -25,7 +25,7 @@ engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -380,12 +380,41 @@ def _trajectory_model(cfg: ClonerConfig, elec_noise: float = 0.0) -> _Trajectory
     )
 
 
+# the feedforward detectors: x on mode 1, then p on the arm that becomes mode 1
+_X1, _P1 = Quadrature.x(1), Quadrature.p(1)
+
+
 @dataclass(frozen=True)
 class CloningCircuit:
-    """Executable realisation of the machine over the Gaussian primitives."""
+    """Executable realisation of the machine over the Gaussian primitives.
+
+    Everything before the feedforward detectors depends on neither the
+    stream nor the outcomes, so construction builds it once: ``_pre`` is the
+    state at the detectors (mode 0 the transmitted beam, mode 1 the x arm,
+    mode 2 the p arm when t2 < 1) and ``_anc3`` the output-splitter ancilla.
+    """
 
     config: ClonerConfig
     input_state: GaussianState
+    _pre: GaussianState = field(init=False, repr=False, compare=False)
+    _anc3: GaussianState = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.input_state.n_modes != 1:
+            raise ValueError("cloner expects a single-mode input")
+        cfg = self.config
+        state = tensor(self.input_state, squeezed_vacuum(*cfg.anc1))
+        state = beam_splitter(state, 0, 1, cfg.t1)  # mode 0 kept, mode 1 tapped
+        tau = cfg.feedforward_transmission
+        if tau < 1.0:
+            state = tensor(state, vacuum())
+            state = beam_splitter(state, 1, 2, tau)
+            state = partial_trace(state, (0, 1))
+        if cfg.t2 < 1.0:
+            state = tensor(state, vacuum())
+            state = beam_splitter(state, 1, 2, cfg.t2)
+        object.__setattr__(self, "_pre", state)
+        object.__setattr__(self, "_anc3", squeezed_vacuum(*cfg.anc3))
 
     def run(
         self, rng: np.random.Generator, elec_noise: float = 0.0
@@ -397,33 +426,18 @@ class CloningCircuit:
         noise (if any), then the P outcome and its noise when t2 < 1.
         """
         cfg = self.config
-        records: list[MeasurementRecord] = []
-
-        state = tensor(self.input_state, squeezed_vacuum(*cfg.anc1))
-        state = beam_splitter(state, 0, 1, cfg.t1)  # mode 0 kept, mode 1 tapped
-        tau = cfg.feedforward_transmission
-        if tau < 1.0:
-            state = tensor(state, vacuum())
-            state = beam_splitter(state, 1, 2, tau)
-            state = partial_trace(state, (0, 1))
-
+        rec_x, state = measure_quadrature(self._pre, _X1, rng)
+        x_used = rec_x.outcome + self._elec(rng, elec_noise)
         if cfg.t2 < 1.0:
-            state = tensor(state, vacuum())
-            state = beam_splitter(state, 1, 2, cfg.t2)
-            rec_x, state = measure_quadrature(state, Quadrature.x(1), rng)
-            x_used = rec_x.outcome + self._elec(rng, elec_noise)
-            rec_p, state = measure_quadrature(state, Quadrature.p(1), rng)
+            rec_p, state = measure_quadrature(state, _P1, rng)
             p_used = rec_p.outcome + self._elec(rng, elec_noise)
-            records += [rec_x, rec_p]
+            records = [rec_x, rec_p]
             g_p = cfg.g_p
         else:
-            rec_x, state = measure_quadrature(state, Quadrature.x(1), rng)
-            x_used = rec_x.outcome + self._elec(rng, elec_noise)
-            p_used, g_p = 0.0, 0.0
-            records.append(rec_x)
+            records, p_used, g_p = [rec_x], 0.0, 0.0
 
         state = displace(state, 0, cfg.g_x * x_used, g_p * p_used)
-        state = tensor(state, squeezed_vacuum(*cfg.anc3))
+        state = tensor(state, self._anc3)
         state = beam_splitter(state, 0, 1, 0.5)
         return records, state
 
@@ -436,6 +450,4 @@ class CloningCircuit:
 
 def build_circuit(cfg: ClonerConfig, input_state: GaussianState) -> CloningCircuit:
     """Assemble the executable circuit for a single-mode input state."""
-    if input_state.n_modes != 1:
-        raise ValueError("cloner expects a single-mode input")
     return CloningCircuit(config=cfg, input_state=input_state)

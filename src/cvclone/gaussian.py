@@ -11,6 +11,7 @@ shared freely across threads.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,6 +91,14 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
+@functools.lru_cache(maxsize=16)
+def _i_omega(n_modes: int) -> np.ndarray:
+    """Read-only i*Omega, the shift in every state's physicality check."""
+    i_omega = 1j * symplectic_form(n_modes)
+    i_omega.flags.writeable = False
+    return i_omega
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Gaussian state of ``n_modes`` optical modes.
@@ -105,8 +114,9 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.asarray(self.cov, dtype=float)
+        # C-ordered copies: the state never aliases the caller's arrays
+        mean = np.array(self.mean, dtype=float, order="C", ndmin=1)
+        cov = np.array(self.cov, dtype=float, order="C")
         if self.n_modes < 0:
             raise ValueError("n_modes must be non-negative")
         d = 2 * self.n_modes
@@ -114,20 +124,18 @@ class GaussianState:
             raise ValueError(f"mean must have shape ({d},), got {mean.shape}")
         if cov.shape != (d, d):
             raise ValueError(f"cov must have shape ({d}, {d}), got {cov.shape}")
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("state moments must be finite")
         if d:
-            scale = max(1.0, float(np.max(np.abs(cov))))
-            if float(np.max(np.abs(cov - cov.T))) > SYMMETRY_TOL * scale:
+            scale = max(1.0, float(np.abs(cov).max()))
+            if float(np.abs(cov - cov.T).max()) > SYMMETRY_TOL * scale:
                 raise ValueError("covariance matrix is not symmetric")
-            eigs = np.linalg.eigvalsh(cov + 1j * symplectic_form(self.n_modes))
+            eigs = np.linalg.eigvalsh(cov + _i_omega(self.n_modes))
             if float(eigs.min()) < -PHYSICALITY_TOL:
                 raise ValueError(
                     "covariance matrix violates the uncertainty relation "
                     f"(min eigenvalue of cov + i*Omega is {eigs.min():.3e})"
                 )
-        mean = mean.copy()
-        cov = cov.copy()
         mean.flags.writeable = False
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -233,6 +241,17 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
     return GaussianState(len(kept), state.mean[idx], state.cov[np.ix_(idx, idx)])
 
 
+@functools.lru_cache(maxsize=64)
+def _rest_index(n_modes: int, mode: int) -> tuple[np.ndarray, tuple]:
+    """Read-only indices of every quadrature outside ``mode``, and their
+    ``np.ix_`` grid."""
+    rest = np.array(
+        [i for i in range(2 * n_modes) if i not in (2 * mode, 2 * mode + 1)], dtype=int
+    )
+    rest.flags.writeable = False
+    return rest, np.ix_(rest, rest)
+
+
 def measure_quadrature(
     state: GaussianState, quad: Quadrature, rng: np.random.Generator
 ) -> tuple[MeasurementRecord, GaussianState]:
@@ -249,10 +268,7 @@ def measure_quadrature(
     """
     state._check_mode(quad.mode)
     qi = quad.index
-    rest = np.array(
-        [i for i in range(2 * state.n_modes) if i not in (2 * quad.mode, 2 * quad.mode + 1)],
-        dtype=int,
-    )
+    rest, rest_grid = _rest_index(state.n_modes, quad.mode)
     var = float(state.cov[qi, qi])
     cross = state.cov[rest, qi]
     if var < DEGENERATE_VAR_TOL:
@@ -260,12 +276,12 @@ def measure_quadrature(
             raise ValueError("degenerate marginal with nonzero cross covariance")
         outcome = float(state.mean[qi])
         reduced = GaussianState(
-            state.n_modes - 1, state.mean[rest], state.cov[np.ix_(rest, rest)]
+            state.n_modes - 1, state.mean[rest], state.cov[rest_grid]
         )
         return MeasurementRecord(quad, outcome), reduced
     outcome = float(state.mean[qi]) + math.sqrt(var) * float(rng.standard_normal())
     mean = state.mean[rest] + cross * ((outcome - state.mean[qi]) / var)
-    cov = state.cov[np.ix_(rest, rest)] - np.outer(cross, cross) / var
+    cov = state.cov[rest_grid] - np.outer(cross, cross) / var
     return (
         MeasurementRecord(quad, outcome),
         GaussianState(state.n_modes - 1, mean, (cov + cov.T) / 2.0),

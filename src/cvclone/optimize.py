@@ -26,6 +26,10 @@ from .cloner import ClonerConfig, gaussian_machine, matched_gain
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(80)
+# heterodyne_reprepare_fidelity's grid: 2 SNU of outcome noise per quadrature
+# on the columns, the product weights normalised by pi
+_GH_HET_NOISE = math.sqrt(2.0 * 2.0) * _GH_NODES[None, :]
+_GH_HET_WEIGHTS = (_GH_WEIGHTS[:, None] * _GH_WEIGHTS[None, :]) / math.pi
 
 __all__ = [
     "OptimizationResult",
@@ -230,10 +234,8 @@ def heterodyne_reprepare_fidelity(gain: float, v: float) -> float:
     if not (math.isfinite(v) and v > 0):
         raise ValueError(f"alphabet variance must be finite and positive, got {v}")
     xbar = math.sqrt(2.0 * 4.0 * v) * _GH_NODES[:, None]
-    noise = math.sqrt(2.0 * 2.0) * _GH_NODES[None, :]
-    weights = (_GH_WEIGHTS[:, None] * _GH_WEIGHTS[None, :]) / math.pi
-    delta = (gain - 1.0) * xbar + gain * noise
-    one_quadrature = float(np.sum(weights * np.exp(-(delta**2) / 4.0)))
+    delta = (gain - 1.0) * xbar + gain * _GH_HET_NOISE
+    one_quadrature = float(np.sum(_GH_HET_WEIGHTS * np.exp(-(delta**2) / 4.0)))
     return one_quadrature**2
 
 

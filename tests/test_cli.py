@@ -331,6 +331,20 @@ def test_config_values_must_have_the_flag_type(tmp_path, capsys, command, values
     assert err == f"error: config key {message}\n"
 
 
+def test_config_keys_must_name_a_flag_of_the_command(tmp_path, capsys):
+    # a misspelt seed silently ran with the default seed before
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"sed": 5, "V": 1.72, "trajectories": 100}))
+    code, out, err = run_cli(capsys, "mc", "--config", str(config))
+    assert code == 2 and out == ""
+    assert err == "error: config key 'sed' names no flag of cvclone mc\n"
+    # a flag of another command is no flag of this one
+    config.write_text(json.dumps({"steps": 3}))
+    code, out, err = run_cli(capsys, "optimize", "--config", str(config), "--V", "1")
+    assert code == 2 and out == ""
+    assert err == "error: config key 'steps' names no flag of cvclone optimize\n"
+
+
 def test_config_numbers_convert_to_the_flag_type(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"V": 2, "trajectories": 500, "phase-known": False}))

@@ -17,7 +17,18 @@ from cvclone.cloner import (
     phase_known_clone_stats,
     phase_known_machine,
 )
-from cvclone.gaussian import coherent, vacuum
+from cvclone.gaussian import (
+    GaussianState,
+    Quadrature,
+    beam_splitter,
+    coherent,
+    displace,
+    measure_quadrature,
+    partial_trace,
+    squeezed_vacuum,
+    tensor,
+    vacuum,
+)
 
 SQ85 = (math.sqrt(8 / 5), math.sqrt(5 / 8))
 
@@ -236,10 +247,11 @@ def test_feedforward_loss_lowers_gaussian_fidelity():
 
 
 def test_build_circuit_requires_single_mode_input():
-    from cvclone.gaussian import tensor
-
-    with pytest.raises(ValueError):
-        build_circuit(gaussian_machine(0.5), tensor(vacuum(), vacuum()))
+    two_modes = tensor(vacuum(), vacuum())
+    with pytest.raises(ValueError, match="single-mode input"):
+        build_circuit(gaussian_machine(0.5), two_modes)
+    with pytest.raises(ValueError, match="single-mode input"):
+        CloningCircuit(config=gaussian_machine(0.5), input_state=two_modes)
 
 
 def test_electronic_noise_adds_variance():
@@ -249,3 +261,83 @@ def test_electronic_noise_adds_variance():
     assert noisy.sigma_x > clean.sigma_x
     assert noisy.lambda_x == clean.lambda_x
     assert noisy.sigma_x - clean.sigma_x == pytest.approx(cfg.g_x**2 * 0.5 / 2, abs=1e-12)
+
+
+def _reference_shot(cfg, input_state, rng, elec_noise):
+    """One shot built from the primitives stage by stage, the fixed part
+    included, in the circuit's order of stream use."""
+
+    def elec():
+        return math.sqrt(elec_noise) * float(rng.standard_normal()) if elec_noise > 0 else 0.0
+
+    state = beam_splitter(tensor(input_state, squeezed_vacuum(*cfg.anc1)), 0, 1, cfg.t1)
+    tau = cfg.feedforward_transmission
+    if tau < 1.0:
+        state = partial_trace(beam_splitter(tensor(state, vacuum()), 1, 2, tau), (0, 1))
+    if cfg.t2 < 1.0:
+        state = beam_splitter(tensor(state, vacuum()), 1, 2, cfg.t2)
+        rec_x, state = measure_quadrature(state, Quadrature.x(1), rng)
+        x_used = rec_x.outcome + elec()
+        rec_p, state = measure_quadrature(state, Quadrature.p(1), rng)
+        p_used = rec_p.outcome + elec()
+        records, g_p = [rec_x, rec_p], cfg.g_p
+    else:
+        rec_x, state = measure_quadrature(state, Quadrature.x(1), rng)
+        x_used = rec_x.outcome + elec()
+        records, p_used, g_p = [rec_x], 0.0, 0.0
+    state = displace(state, 0, cfg.g_x * x_used, g_p * p_used)
+    state = beam_splitter(tensor(state, squeezed_vacuum(*cfg.anc3)), 0, 1, 0.5)
+    return records, state
+
+
+@pytest.mark.parametrize(
+    "cfg, elec_noise",
+    [
+        (gaussian_machine(0.7, eta_ff=0.95, visibility=0.99), 0.1),  # t2 = 1/2, tau < 1
+        (gaussian_machine(0.83), 0.0),  # t2 = 1/2, tau = 1
+        (phase_known_machine((2.0, 0.5), SQ85, eta_ff=0.9), 0.2),  # t2 = 1, tau < 1
+        (phase_known_machine(), 0.0),  # t2 = 1, tau = 1
+        (ClonerConfig(t1=0.6, t2=0.4, g_x=0.9, g_p=1.1, anc1=(0.5, 2.0),
+                      anc3=(1.3, 1 / 1.3), visibility=0.9), 0.3),
+    ],
+    ids=["heterodyne-lossy-noisy", "heterodyne", "homodyne-lossy-noisy-squeezed",
+         "homodyne", "general-squeezed"],
+)
+def test_circuit_shots_are_bit_identical_to_the_per_shot_chain(cfg, elec_noise):
+    inp = GaussianState(1, np.array([1.5, -0.5]), np.array([[1.2, 0.1], [0.1, 1.0]]))
+    circuit = build_circuit(cfg, inp)
+    rng_circuit, rng_ref = np.random.default_rng(77), np.random.default_rng(77)
+    for _ in range(40):
+        records, state = circuit.run(rng_circuit, elec_noise)
+        ref_records, ref_state = _reference_shot(cfg, inp, rng_ref, elec_noise)
+        assert records == ref_records
+        assert np.array_equal(
+            [r.outcome for r in records], [r.outcome for r in ref_records]
+        )
+        assert np.array_equal(state.mean, ref_state.mean)
+        assert np.array_equal(state.cov, ref_state.cov)
+    # both streams were used alike
+    assert rng_circuit.standard_normal() == rng_ref.standard_normal()
+
+
+@pytest.mark.parametrize(
+    "cfg, per_shot",
+    [(gaussian_machine(0.7, eta_ff=0.95, visibility=0.99), 5),
+     (phase_known_machine(eta_ff=0.9), 4)],
+    ids=["heterodyne", "homodyne"],
+)
+def test_circuit_shot_builds_only_the_outcome_dependent_states(monkeypatch, cfg, per_shot):
+    circuit = build_circuit(cfg, coherent(2.0, -1.0))
+    checked = GaussianState.__post_init__
+    count = 0
+
+    def counting(self):
+        nonlocal count
+        count += 1
+        checked(self)
+
+    monkeypatch.setattr(GaussianState, "__post_init__", counting)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        circuit.run(rng, elec_noise=0.1)
+    assert 0 < count <= 10 * per_shot

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvclone.gaussian import (
+    PHYSICALITY_TOL,
+    SYMMETRY_TOL,
     GaussianState,
+    _i_omega,
     Quadrature,
     beam_splitter,
     coherent,
@@ -214,3 +217,92 @@ def test_fidelity_range_and_identity(ax, ap, cx, cp, sx, sp):
     if f > 1.0 - 1e-12:
         assert abs(sx - 1) < 1e-5 and abs(sp - 1) < 1e-5
         assert abs(cx - ax) < 1e-5 and abs(cp - ap) < 1e-5
+
+
+def _epr_cov(n_modes, c):
+    """Vacuum on every mode but the first two, which share x-x correlation c
+    and p-p correlation -c on variance 2; cov + i*Omega >= 0 iff c^2 <= 3."""
+    cov = np.eye(2 * n_modes)
+    cov[:4, :4] = [[2, 0, c, 0], [0, 2, 0, -c], [c, 0, 2, 0], [0, -c, 0, 2]]
+    return cov
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_rejection_fires_with_its_message(n):
+    d = 2 * n
+    mean, cov = np.zeros(d), np.eye(d)
+    GaussianState(n, mean, cov)
+    cases = [
+        (-1, mean, cov, "n_modes must be non-negative"),
+        (n, np.zeros(d + 1), cov, rf"mean must have shape \({d},\), got \({d + 1},\)"),
+        (n, np.zeros((d, 1)), cov, rf"mean must have shape \({d},\)"),
+        (n, mean, np.eye(d + 2), rf"cov must have shape \({d}, {d}\), got \({d + 2}, {d + 2}\)"),
+        (n, mean, np.ones(d), rf"cov must have shape \({d}, {d}\)"),
+    ]
+    for bad in (math.nan, math.inf, -math.inf):
+        bad_mean = mean.copy()
+        bad_mean[-1] = bad
+        bad_cov = cov.copy()
+        bad_cov[0, -1] = bad_cov[-1, 0] = bad
+        cases += [
+            (n, bad_mean, cov, "state moments must be finite"),
+            (n, mean, bad_cov, "state moments must be finite"),
+        ]
+    # asymmetry just above the relative tolerance, on a scale of 100
+    asym = 100.0 * np.eye(d)
+    asym[0, -1] = 3 * SYMMETRY_TOL * 100.0
+    cases.append((n, mean, asym, "covariance matrix is not symmetric"))
+    # below the tolerance the same matrix passes
+    ok = 100.0 * np.eye(d)
+    ok[0, -1] = 0.5 * SYMMETRY_TOL * 100.0
+    GaussianState(n, mean, ok)
+    # positive definite but below the uncertainty bound on the first mode
+    squeezed = np.eye(d)
+    squeezed[0, 0] = squeezed[1, 1] = 0.9
+    assert np.linalg.eigvalsh(squeezed).min() > 0
+    cases.append((n, mean, squeezed, "violates the uncertainty relation"))
+    for n_modes, m, c, message in cases:
+        with pytest.raises(ValueError, match=message):
+            GaussianState(n_modes, m, c)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_positive_definite_two_mode_covariance_below_the_bound_is_rejected(n):
+    # every single-mode marginal has variance 2 and passes on its own
+    GaussianState(n, np.zeros(2 * n), _epr_cov(n, math.sqrt(3.0)))
+    cov = _epr_cov(n, 1.9)
+    assert np.linalg.eigvalsh(cov).min() > 0
+    for k in range(n):
+        GaussianState(1, np.zeros(2), cov[2 * k : 2 * k + 2, 2 * k : 2 * k + 2])
+    with pytest.raises(ValueError, match="violates the uncertainty relation"):
+        GaussianState(n, np.zeros(2 * n), cov)
+
+
+def test_physicality_floor_is_unchanged():
+    # for cov = diag(1 - delta, 1) the smallest eigenvalue of cov + i*Omega
+    # is about -delta/2, so the floor sits at delta = 2 * PHYSICALITY_TOL
+    GaussianState(1, np.zeros(2), np.diag([1.0 - 1.5 * PHYSICALITY_TOL, 1.0]))
+    with pytest.raises(ValueError, match="violates the uncertainty relation"):
+        GaussianState(1, np.zeros(2), np.diag([1.0 - 3.0 * PHYSICALITY_TOL, 1.0]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cached_i_omega_is_read_only(n):
+    i_omega = _i_omega(n)
+    assert i_omega is _i_omega(n)
+    assert np.array_equal(i_omega, 1j * symplectic_form(n))
+    assert not i_omega.flags.writeable
+    with pytest.raises(ValueError):
+        i_omega[0, 1] = 0.0
+
+
+def test_state_copies_and_freezes_its_moments():
+    mean, cov = np.array([1.0, 2.0]), np.eye(2)
+    state = GaussianState(1, mean, cov)
+    mean[0] = cov[0, 0] = 5.0
+    assert np.array_equal(state.mean, [1.0, 2.0])
+    assert np.array_equal(state.cov, np.eye(2))
+    assert not state.mean.flags.writeable and not state.cov.flags.writeable
+    fortran = np.asfortranarray([[2.0, 0.3], [0.3, 1.0]])
+    assert GaussianState(1, mean, fortran).cov.flags.c_contiguous
+    assert GaussianState(1, [0, 0], [[1, 0], [0, 1]]).mean.dtype == float

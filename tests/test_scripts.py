@@ -47,3 +47,24 @@ def test_figure4_script_prints_the_noise_report(monkeypatch, capsys):
     }
     assert all(math.isfinite(value) for value in report.values())
     assert abs(report["f_mc"] - report["f_imperfect"]) <= 5.0 * report["se_mc"]
+
+
+@pytest.mark.parametrize(
+    "name, argv, message",
+    [
+        ("figure3_sweep", ["--trajectories", "0"], "n_traj must lie in [1, 100000000], got 0"),
+        ("figure4_noise", ["--eta", "0"], "eta_ff must lie in (0, 1], got 0.0"),
+    ],
+)
+def test_figure_scripts_exit_2_on_out_of_domain_input(
+    monkeypatch, tmp_path, capsys, name, argv, message
+):
+    # a ValueError traceback and exit 1 before
+    monkeypatch.chdir(tmp_path)  # figure3's default --out is relative
+    with pytest.raises(SystemExit) as exit_info:
+        _run(monkeypatch, name, *argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"{name}.py: error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
