@@ -65,7 +65,8 @@ def _load_config(path: str | None, flags: list[argparse.Action], prog: str) -> d
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    actions = {action.dest: action for action in flags}
+    # -h and --config act while parsing, so a file can set neither
+    actions = {a.dest: a for a in flags if a.dest not in ("help", "config")}
     for key, value in data.items():
         action = actions.get(key.replace("-", "_"))
         if action is None:

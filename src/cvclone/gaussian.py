@@ -99,6 +99,32 @@ def _i_omega(n_modes: int) -> np.ndarray:
     return i_omega
 
 
+@functools.lru_cache(maxsize=256)
+def _check_cov(n_modes: int, cov_bytes: bytes, symmetry_tol: float, physicality_tol: float):
+    """Raise ValueError unless the 2n x 2n covariance held in ``cov_bytes``
+    is finite, symmetric to ``symmetry_tol`` relative to its scale, and
+    satisfies cov + i*Omega >= -``physicality_tol``.
+
+    Only passes are cached (``lru_cache`` never stores an exception), so a
+    covariance that has not yet passed at these tolerances is checked in
+    full every time.
+    """
+    d = 2 * n_modes
+    cov = np.frombuffer(cov_bytes).reshape(d, d)
+    if not np.isfinite(cov).all():
+        raise ValueError("state moments must be finite")
+    if d:
+        scale = max(1.0, float(np.abs(cov).max()))
+        if float(np.abs(cov - cov.T).max()) > symmetry_tol * scale:
+            raise ValueError("covariance matrix is not symmetric")
+        eigs = np.linalg.eigvalsh(cov + _i_omega(n_modes))
+        if float(eigs.min()) < -physicality_tol:
+            raise ValueError(
+                "covariance matrix violates the uncertainty relation "
+                f"(min eigenvalue of cov + i*Omega is {eigs.min():.3e})"
+            )
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Gaussian state of ``n_modes`` optical modes.
@@ -106,7 +132,10 @@ class GaussianState:
     ``mean`` is the length 2n quadrature mean vector (x0, p0, x1, p1, ...)
     and ``cov`` the 2n x 2n covariance matrix, both in shot-noise units.
     Construction validates symmetry and the physicality condition
-    cov + i*Omega >= 0.
+    cov + i*Omega >= 0.  Shapes and the mean are checked on every
+    construction; each distinct covariance is checked once per tolerance
+    setting (see ``_check_cov``), since a circuit's conditional covariance
+    repeats from shot to shot.
     """
 
     n_modes: int
@@ -124,20 +153,13 @@ class GaussianState:
             raise ValueError(f"mean must have shape ({d},), got {mean.shape}")
         if cov.shape != (d, d):
             raise ValueError(f"cov must have shape ({d}, {d}), got {cov.shape}")
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        # math.isfinite on the few entries beats a numpy ufunc and reduce
+        if not all(map(math.isfinite, mean.tolist())):
             raise ValueError("state moments must be finite")
-        if d:
-            scale = max(1.0, float(np.abs(cov).max()))
-            if float(np.abs(cov - cov.T).max()) > SYMMETRY_TOL * scale:
-                raise ValueError("covariance matrix is not symmetric")
-            eigs = np.linalg.eigvalsh(cov + _i_omega(self.n_modes))
-            if float(eigs.min()) < -PHYSICALITY_TOL:
-                raise ValueError(
-                    "covariance matrix violates the uncertainty relation "
-                    f"(min eigenvalue of cov + i*Omega is {eigs.min():.3e})"
-                )
-        mean.flags.writeable = False
-        cov.flags.writeable = False
+        # the tolerances are read here, so a changed tolerance is a new key
+        _check_cov(self.n_modes, cov.tobytes(), SYMMETRY_TOL, PHYSICALITY_TOL)
+        mean.setflags(write=False)
+        cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -183,7 +205,9 @@ def squeezed_vacuum(var_x: float, var_p: float) -> GaussianState:
     return GaussianState(1, np.zeros(2), np.diag([var_x, var_p]))
 
 
+@functools.lru_cache(maxsize=64)
 def _bs_symplectic(n_modes: int, mode_a: int, mode_b: int, transmittance: float) -> np.ndarray:
+    """Read-only symplectic matrix of ``beam_splitter``."""
     s = np.eye(2 * n_modes)
     t = math.sqrt(transmittance)
     r = math.sqrt(1.0 - transmittance)
@@ -191,6 +215,7 @@ def _bs_symplectic(n_modes: int, mode_a: int, mode_b: int, transmittance: float)
         ia, ib = 2 * mode_a + off, 2 * mode_b + off
         s[ia, ia], s[ia, ib] = t, r
         s[ib, ia], s[ib, ib] = r, -t
+    s.flags.writeable = False
     return s
 
 
@@ -270,7 +295,7 @@ def measure_quadrature(
     qi = quad.index
     rest, rest_grid = _rest_index(state.n_modes, quad.mode)
     var = float(state.cov[qi, qi])
-    cross = state.cov[rest, qi]
+    cross = state.cov[:, qi][rest]  # the entries of cov[rest, qi], indexed faster
     if var < DEGENERATE_VAR_TOL:
         if cross.size and float(np.max(np.abs(cross))) > DEGENERATE_VAR_TOL:
             raise ValueError("degenerate marginal with nonzero cross covariance")
@@ -281,7 +306,7 @@ def measure_quadrature(
         return MeasurementRecord(quad, outcome), reduced
     outcome = float(state.mean[qi]) + math.sqrt(var) * float(rng.standard_normal())
     mean = state.mean[rest] + cross * ((outcome - state.mean[qi]) / var)
-    cov = state.cov[rest_grid] - np.outer(cross, cross) / var
+    cov = state.cov[rest_grid] - cross[:, None] * cross / var
     return (
         MeasurementRecord(quad, outcome),
         GaussianState(state.n_modes - 1, mean, (cov + cov.T) / 2.0),

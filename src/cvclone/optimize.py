@@ -234,8 +234,13 @@ def heterodyne_reprepare_fidelity(gain: float, v: float) -> float:
     if not (math.isfinite(v) and v > 0):
         raise ValueError(f"alphabet variance must be finite and positive, got {v}")
     xbar = math.sqrt(2.0 * 4.0 * v) * _GH_NODES[:, None]
-    delta = (gain - 1.0) * xbar + gain * _GH_HET_NOISE
-    one_quadrature = float(np.sum(_GH_HET_WEIGHTS * np.exp(-(delta**2) / 4.0)))
+    # one 80x80 buffer, updated in place: weights * exp(-delta^2 / 4)
+    buf = np.add((gain - 1.0) * xbar, gain * _GH_HET_NOISE)
+    np.square(buf, out=buf)
+    buf *= -0.25
+    np.exp(buf, out=buf)
+    buf *= _GH_HET_WEIGHTS
+    one_quadrature = float(buf.sum())
     return one_quadrature**2
 
 

@@ -343,6 +343,12 @@ def test_config_keys_must_name_a_flag_of_the_command(tmp_path, capsys):
     code, out, err = run_cli(capsys, "optimize", "--config", str(config), "--V", "1")
     assert code == 2 and out == ""
     assert err == "error: config key 'steps' names no flag of cvclone optimize\n"
+    # -h and --config act while parsing; both keys passed silently before
+    for key in ("help", "config"):
+        config.write_text(json.dumps({key: "x"}))
+        code, out, err = run_cli(capsys, "verify", "--config", str(config))
+        assert code == 2 and out == ""
+        assert err == f"error: config key '{key}' names no flag of cvclone verify\n"
 
 
 def test_config_numbers_convert_to_the_flag_type(tmp_path, capsys):

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvclone import gaussian
 from cvclone.gaussian import (
     PHYSICALITY_TOL,
     SYMMETRY_TOL,
     GaussianState,
+    _bs_symplectic,
     _i_omega,
     Quadrature,
     beam_splitter,
@@ -294,6 +296,97 @@ def test_cached_i_omega_is_read_only(n):
     assert not i_omega.flags.writeable
     with pytest.raises(ValueError):
         i_omega[0, 1] = 0.0
+
+
+def _reference_verdict(n, cov):
+    """The covariance checks written out without a cache: None for a pass,
+    else the message GaussianState must raise."""
+    if not np.isfinite(cov).all():
+        return "state moments must be finite"
+    scale = max(1.0, float(np.abs(cov).max()))
+    if float(np.abs(cov - cov.T).max()) > SYMMETRY_TOL * scale:
+        return "covariance matrix is not symmetric"
+    eigs = np.linalg.eigvalsh(cov + 1j * symplectic_form(n))
+    if float(eigs.min()) < -PHYSICALITY_TOL:
+        return (
+            "covariance matrix violates the uncertainty relation "
+            f"(min eigenvalue of cov + i*Omega is {eigs.min():.3e})"
+        )
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    log_squeeze=st.floats(-2.0, 2.0),
+    mix=st.floats(0.0, 1.0),
+    shrink=st.floats(-4.0, 4.0),
+    skew=st.floats(-3.0, 3.0),
+    big=st.booleans(),
+)
+def test_cached_checks_accept_exactly_what_a_full_check_accepts(
+    n, log_squeeze, mix, shrink, skew, big
+):
+    # a pure squeezed state (min eigenvalue of cov + i*Omega at 0), mixed into
+    # the other modes, shrunk by `shrink` physicality tolerances and skewed
+    # by `skew` symmetry tolerances: both verdicts flip inside the ranges
+    cov = np.eye(2 * n)
+    cov[0, 0], cov[1, 1] = math.exp(log_squeeze), math.exp(-log_squeeze)
+    if n > 1:
+        cov = beam_splitter(GaussianState(n, np.zeros(2 * n), cov), 0, n - 1, mix).cov.copy()
+    cov *= (100.0 if big else 1.0) * (1.0 - shrink * PHYSICALITY_TOL)
+    cov[0, -1] += skew * SYMMETRY_TOL * max(1.0, float(np.abs(cov).max()))
+    expected = _reference_verdict(n, cov)
+    for _ in range(2):  # the second build may be answered from the cache
+        if expected is None:
+            GaussianState(n, np.zeros(2 * n), cov)
+        else:
+            with pytest.raises(ValueError) as info:
+                GaussianState(n, np.zeros(2 * n), cov)
+            assert str(info.value) == expected
+
+
+def test_rejected_covariance_is_checked_again_every_time():
+    unphysical = np.diag([1.0 - 3.0 * PHYSICALITY_TOL, 1.0])
+    asymmetric = np.array([[1.0, 0.0], [3.0 * SYMMETRY_TOL, 1.0]])
+    non_finite = np.array([[1.0, 0.0], [0.0, math.nan]])
+    for _ in range(3):
+        with pytest.raises(ValueError, match="violates the uncertainty relation"):
+            GaussianState(1, np.zeros(2), unphysical)
+        with pytest.raises(ValueError, match="covariance matrix is not symmetric"):
+            GaussianState(1, np.zeros(2), asymmetric)
+        with pytest.raises(ValueError, match="state moments must be finite"):
+            GaussianState(1, np.zeros(2), non_finite)
+
+
+def test_stricter_tolerance_rejects_a_covariance_that_passed(monkeypatch):
+    near_floor = np.diag([1.0 - 1.5 * PHYSICALITY_TOL, 1.0])
+    skewed = np.array([[1.0, 0.0], [0.5 * SYMMETRY_TOL, 1.0]])
+    for _ in range(2):  # the second pass comes from the cache
+        GaussianState(1, np.zeros(2), near_floor)
+        GaussianState(1, np.zeros(2), skewed)
+    monkeypatch.setattr(gaussian, "PHYSICALITY_TOL", 0.5 * PHYSICALITY_TOL)
+    with pytest.raises(ValueError, match="violates the uncertainty relation"):
+        GaussianState(1, np.zeros(2), near_floor)
+    GaussianState(1, np.zeros(2), skewed)
+    monkeypatch.setattr(gaussian, "SYMMETRY_TOL", 0.25 * SYMMETRY_TOL)
+    with pytest.raises(ValueError, match="covariance matrix is not symmetric"):
+        GaussianState(1, np.zeros(2), skewed)
+    # the old tolerances find their cached passes again
+    monkeypatch.undo()
+    GaussianState(1, np.zeros(2), near_floor)
+    GaussianState(1, np.zeros(2), skewed)
+
+
+def test_cached_beam_splitter_matrix_is_read_only():
+    s = _bs_symplectic(2, 0, 1, 0.3)
+    assert s is _bs_symplectic(2, 0, 1, 0.3)
+    assert not s.flags.writeable
+    with pytest.raises(ValueError):
+        s[0, 0] = 0.0
+    # a beam splitter that used the cached matrix left it unchanged
+    beam_splitter(tensor(coherent(1.0, 2.0), vacuum()), 0, 1, 0.3)
+    assert np.array_equal(s[:2, :2], np.diag([math.sqrt(0.3)] * 2))
 
 
 def test_state_copies_and_freezes_its_moments():

@@ -14,6 +14,9 @@ from cvclone.benchmarks import (
     phase_known_optimal_bound,
 )
 from cvclone.optimize import (
+    _GH_HET_NOISE,
+    _GH_HET_WEIGHTS,
+    _GH_NODES,
     golden_section_max,
     heterodyne_reprepare_fidelity,
     homodyne_squeezed_fidelity,
@@ -143,6 +146,16 @@ def test_heterodyne_oracle_is_an_integral_not_the_closed_form():
     v, g = 1.72, 0.5
     exact = 1.0 / (1.0 + 2 * v * (1 - g) ** 2 + g**2)
     assert heterodyne_reprepare_fidelity(g, v) == pytest.approx(exact, abs=1e-9)
+
+
+def test_heterodyne_integrand_matches_the_plain_expression_bit_for_bit():
+    # the in-place integrand multiplies by -0.25 where this divides by -4
+    for v in (0.5, 1.0, 1.72, 3.0, 5.0):
+        xbar = math.sqrt(2.0 * 4.0 * v) * _GH_NODES[:, None]
+        for g in np.linspace(0.0, 1.0, 201).tolist():
+            delta = (g - 1.0) * xbar + g * _GH_HET_NOISE
+            plain = float(np.sum(_GH_HET_WEIGHTS * np.exp(-(delta**2) / 4.0))) ** 2
+            assert heterodyne_reprepare_fidelity(g, v) == plain
 
 
 def test_optimize_classical_argument_errors():

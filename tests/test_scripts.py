@@ -54,6 +54,9 @@ def test_figure4_script_prints_the_noise_report(monkeypatch, capsys):
     [
         ("figure3_sweep", ["--trajectories", "0"], "n_traj must lie in [1, 100000000], got 0"),
         ("figure4_noise", ["--eta", "0"], "eta_ff must lie in (0, 1], got 0.0"),
+        # exit 0 with no f_mc before; 0 still skips the Monte Carlo
+        ("figure4_noise", ["--trajectories", "-3"],
+         "n_traj must be non-negative (0 skips the Monte Carlo), got -3"),
     ],
 )
 def test_figure_scripts_exit_2_on_out_of_domain_input(
