@@ -245,7 +245,7 @@ def phase_known_optimal_bound() -> PhaseKnownBound:
     )
 
 
-def known_phase_map_fidelity(lambda_p: float, dn_x: float, dn_p: float) -> float:
+def known_phase_map_fidelity(lambda_p, dn_x, dn_p):
     """Known-phase fidelity of a generic unit-amplitude-gain Gaussian map.
 
     Output variances are sigma_x = 1 + dn_x and
@@ -254,8 +254,10 @@ def known_phase_map_fidelity(lambda_p: float, dn_x: float, dn_p: float) -> float
         F = 2 / sqrt((2 + dn_x)(1 + lambda_p^2 (1 + dn_p))).
 
     No constraint between the noises is enforced here; feasibility is the
-    optimizer's job.
+    optimizer's job.  Array arguments broadcast to an array of fidelities.
     """
-    if dn_x < 0 or dn_p < 0:
+    negative = (dn_x < 0) | (dn_p < 0)
+    if negative.any() if isinstance(negative, np.ndarray) else negative:
         raise ValueError("referred noise variances must be non-negative")
-    return 2.0 / math.sqrt((2.0 + dn_x) * (1.0 + lambda_p**2 * (1.0 + dn_p)))
+    product = (2.0 + dn_x) * (1.0 + lambda_p**2 * (1.0 + dn_p))
+    return 2.0 / (np.sqrt(product) if isinstance(product, np.ndarray) else math.sqrt(product))

@@ -30,7 +30,7 @@ from .benchmarks import (
     phase_known_optimal_bound,
 )
 from .cloner import (
-    _check_fraction,
+    check_fraction,
     gaussian_machine,
     matched_gain,
     phase_known_clone_stats,
@@ -124,15 +124,14 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"{name} must be finite, got {value}")
     if vmin <= 0 or vmax <= vmin or steps < 2:
         raise UsageError("need 0 < vmin < vmax and steps >= 2")
-    eta = _check_fraction("eta", _merge(args, "eta", 1.0))
+    eta = check_fraction("eta", _merge(args, "eta", 1.0))
     vis = _merge(args, "visibility", 1.0)
     fixed = None
     if _merge(args, "mode", "optimal") == "fixed":
         t1 = _merge(args, "t1")
         if t1 is None:
             raise UsageError("fixed mode requires --t1")
-        if not 0.0 < t1 <= 1.0:
-            raise UsageError("t1 must lie in (0, 1]")
+        check_fraction("t1", t1)
         gx = _merge(args, "gx", matched_gain(t1))
         fixed = (t1, gx, _merge(args, "gp", gx))
         for name, value in zip(("gx", "gp"), fixed[1:]):
@@ -242,7 +241,7 @@ def cmd_mc(args) -> int:
             seed = int(env)
         except ValueError:
             raise UsageError(f"CVCLONE_SEED must be an integer, got {env!r}") from None
-    eta = _check_fraction("eta", _merge(args, "eta", 1.0))
+    eta = check_fraction("eta", _merge(args, "eta", 1.0))
     vis = _merge(args, "visibility", 1.0)
     elec = _merge(args, "elec-noise", 0.0)
     if not (math.isfinite(elec) and elec >= 0):

@@ -16,10 +16,15 @@ into a single loss channel of transmission eta_ff * visibility**2 ahead of
 the measurement splitter; homodyne visibility enters the photocurrent
 quadratically.
 
-All statistics are exact consequences of the linear input-output relations;
-the same coefficients drive the analytic clone statistics, the ensemble
-output state and the per-shot trajectory model used by the Monte Carlo
-engine.
+All statistics are exact consequences of the linear input-output relations.
+One coefficient routine, ``_machine_map``, writes them down for a stack of
+machines (one row of ``MACHINE_COLUMNS`` each); the analytic clone
+statistics, the ensemble output state and the per-shot trajectory model of
+the Monte Carlo engine all read from it.  ``heisenberg_clone_stats`` is that
+routine on one ``ClonerConfig``, and ``batched_clone_stats`` on many
+machines at once, with the same bits per machine.  ``CloningCircuit``, which
+runs the machine over the Gaussian primitives, and
+``phase_known_clone_stats`` are independent oracles for it.
 """
 
 from __future__ import annotations
@@ -46,14 +51,21 @@ VACUUM_ANCILLA = (1.0, 1.0)
 
 SQRT2 = math.sqrt(2.0)
 
+# the parameters of one machine, in ClonerConfig's field order with each
+# ancilla as its (var_x, var_p) pair; a stack of machines is an (n, 10) array
+MACHINE_COLUMNS = ("t1", "t2", "g_x", "g_p", "vx1", "vp1", "vx3", "vp3", "eta_ff", "visibility")
+
 __all__ = [
     "VACUUM_ANCILLA",
+    "MACHINE_COLUMNS",
     "ClonerConfig",
     "CloneStatistics",
+    "check_fraction",
     "matched_gain",
     "gaussian_machine",
     "phase_known_machine",
     "heisenberg_clone_stats",
+    "batched_clone_stats",
     "phase_known_clone_stats",
     "clone_output_state",
     "build_circuit",
@@ -61,20 +73,57 @@ __all__ = [
 ]
 
 
-def _check_fraction(name: str, value: float) -> float:
-    """``value`` if it lies in (0, 1]; NaN and infinities fail too."""
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"{name} must lie in (0, 1], got {value}")
+def _check(ok, value, message: str) -> None:
+    """Raise ``ValueError(message.format(v))`` unless ``ok`` holds, where v
+    is ``value``, or on arrays the entry of ``value`` at the first failure."""
+    if ok is True:
+        return
+    if ok is not False:
+        ok = np.asarray(ok)
+        if ok.all():
+            return
+        value = np.broadcast_to(value, ok.shape)[~ok][0]
+    raise ValueError(message.format(value))
+
+
+def check_fraction(name: str, value, *, allow_zero: bool = False):
+    """``value`` if it lies in (0, 1], or in [0, 1] with ``allow_zero``; NaN
+    and infinities fail too.  On an array every entry must lie there, and
+    the message names the first that does not."""
+    ok = (value >= 0.0 if allow_zero else value > 0.0) & (value <= 1.0)
+    if ok is not True:
+        interval = "[0, 1]" if allow_zero else "(0, 1]"
+        _check(ok, value, f"{name} must lie in {interval}, got {{}}")
     return value
 
 
-def _check_ancilla(name: str, spec) -> tuple[float, float]:
-    vx, vp = float(spec[0]), float(spec[1])
-    if not (0.0 < vx < math.inf and 0.0 < vp < math.inf):
-        raise ValueError(f"{name} variances must be finite and positive")
-    if vx * vp < 1.0 - 1e-9:
-        raise ValueError(f"{name} variance product {vx * vp:.6g} violates uncertainty")
-    return vx, vp
+def _check_ancilla(name: str, vx, vp) -> None:
+    ok = (0.0 < vx) & (vx < math.inf) & (0.0 < vp) & (vp < math.inf)
+    if ok is not True:
+        _check(ok, None, f"{name} variances must be finite and positive")
+    product = vx * vp
+    ok = product >= 1.0 - 1e-9
+    if ok is not True:
+        _check(ok, product, f"{name} variance product {{:.6g}} violates uncertainty")
+
+
+def _check_machines(t1, t2, g_x, g_p, vx1, vp1, vx3, vp3, eta_ff, visibility) -> None:
+    """ClonerConfig's rules, on one machine's values or on the columns of a
+    stack of machines (``MACHINE_COLUMNS``)."""
+    check_fraction("t1", t1, allow_zero=True)
+    check_fraction("t2", t2, allow_zero=True)
+    # the loss parameters first: a gain derived from a bad one is NaN
+    check_fraction("eta_ff", eta_ff)
+    check_fraction("visibility", visibility)
+    _check((abs(g_x) < math.inf) & (abs(g_p) < math.inf), None, "electronic gains must be finite")
+    _check_ancilla("anc1", vx1, vp1)
+    _check_ancilla("anc3", vx3, vp3)
+
+
+def _transmission(eta_ff, visibility):
+    # v * v, not v**2: numpy squares a column exactly, Python's pow does not
+    # always round the same way
+    return eta_ff * (visibility * visibility)
 
 
 @dataclass(frozen=True)
@@ -100,29 +149,36 @@ class ClonerConfig:
     visibility: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.t1 <= 1.0:
-            raise ValueError(f"t1 must lie in [0, 1], got {self.t1}")
-        if not 0.0 <= self.t2 <= 1.0:
-            raise ValueError(f"t2 must lie in [0, 1], got {self.t2}")
-        # the loss parameters first: a gain derived from a bad one is NaN
-        _check_fraction("eta_ff", self.eta_ff)
-        _check_fraction("visibility", self.visibility)
-        if not (math.isfinite(self.g_x) and math.isfinite(self.g_p)):
-            raise ValueError("electronic gains must be finite")
-        object.__setattr__(self, "anc1", _check_ancilla("anc1", self.anc1))
-        object.__setattr__(self, "anc3", _check_ancilla("anc3", self.anc3))
+        anc1 = float(self.anc1[0]), float(self.anc1[1])
+        anc3 = float(self.anc3[0]), float(self.anc3[1])
+        _check_machines(
+            self.t1, self.t2, self.g_x, self.g_p, *anc1, *anc3, self.eta_ff, self.visibility
+        )
+        object.__setattr__(self, "anc1", anc1)
+        object.__setattr__(self, "anc3", anc3)
 
     @property
     def feedforward_transmission(self) -> float:
         """Loss-channel transmission of the measurement arm."""
-        return self.eta_ff * self.visibility**2
+        return _transmission(self.eta_ff, self.visibility)
+
+    def as_row(self) -> tuple[float, ...]:
+        """The parameters in ``MACHINE_COLUMNS`` order."""
+        return (self.t1, self.t2, self.g_x, self.g_p, *self.anc1, *self.anc3,
+                self.eta_ff, self.visibility)
+
+
+def _any(mask) -> bool:
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
 @dataclass(frozen=True)
 class CloneStatistics:
     """Per-clone mean gains and total quadrature variances (SNU).
 
-    Both clones of the symmetric machine share these statistics.
+    Both clones of the symmetric machine share these statistics.  The
+    fields are floats for one machine, or arrays with one entry per machine
+    from ``batched_clone_stats``.
     """
 
     lambda_x: float
@@ -131,25 +187,31 @@ class CloneStatistics:
     sigma_p: float
 
     def __post_init__(self):
-        if self.sigma_x <= 0 or self.sigma_p <= 0:
+        if _any((self.sigma_x <= 0) | (self.sigma_p <= 0)):
             raise ValueError("clone variances must be positive")
+
+    def machine(self, i: int) -> CloneStatistics:
+        """Machine ``i``'s statistics, as floats, from arrays of them."""
+        return CloneStatistics(
+            float(self.lambda_x[i]), float(self.lambda_p[i]),
+            float(self.sigma_x[i]), float(self.sigma_p[i]),
+        )
 
     def referred_noise(self) -> tuple[float, float]:
         """Noise variances referred to the input, (sigma - lambda^2)/lambda^2."""
-        if self.lambda_x == 0 or self.lambda_p == 0:
+        if _any((self.lambda_x == 0) | (self.lambda_p == 0)):
             raise ValueError("referred noise undefined at zero gain")
-        return (
-            (self.sigma_x - self.lambda_x**2) / self.lambda_x**2,
-            (self.sigma_p - self.lambda_p**2) / self.lambda_p**2,
-        )
+        lx2, lp2 = self.lambda_x * self.lambda_x, self.lambda_p * self.lambda_p
+        return (self.sigma_x - lx2) / lx2, (self.sigma_p - lp2) / lp2
 
 
-def matched_gain(t1: float) -> float:
+def matched_gain(t1):
     """Electronic gain sqrt(2(1-t1)/t1) that cancels the tap ancilla at
-    t2 = 1/2 and yields amplitude gain 1/sqrt(2 t1)."""
-    if not 0.0 < t1 <= 1.0:
-        raise ValueError(f"matched gain needs t1 in (0, 1], got {t1}")
-    return math.sqrt(2.0 * (1.0 - t1) / t1)
+    t2 = 1/2 and yields amplitude gain 1/sqrt(2 t1).  ``t1`` may be an
+    array of transmittances."""
+    check_fraction("t1", t1)
+    sqrt = np.sqrt if isinstance(t1, np.ndarray) else math.sqrt
+    return sqrt(2.0 * (1.0 - t1) / t1)
 
 
 def gaussian_machine(
@@ -166,7 +228,7 @@ def gaussian_machine(
     1/sqrt(transmission), reproducing the experimental procedure of tuning
     the gain against a monitored optical test signal.
     """
-    tau = _check_fraction("eta_ff", eta_ff) * _check_fraction("visibility", visibility) ** 2
+    tau = _transmission(check_fraction("eta_ff", eta_ff), check_fraction("visibility", visibility))
     g = matched_gain(t1) / math.sqrt(tau)
     return ClonerConfig(
         t1=t1, t2=0.5, g_x=g, g_p=g, anc1=anc1, anc3=anc3,
@@ -187,7 +249,7 @@ def phase_known_machine(
     is set so the overall amplitude gain equals ``lambda_x`` (unity by
     default, which makes the average fidelity amplitude independent).
     """
-    tau = _check_fraction("eta_ff", eta_ff) * _check_fraction("visibility", visibility) ** 2
+    tau = _transmission(check_fraction("eta_ff", eta_ff), check_fraction("visibility", visibility))
     g_x = (2.0 * lambda_x - 1.0) / math.sqrt(tau)
     return ClonerConfig(
         t1=0.5, t2=1.0, g_x=g_x, g_p=0.0, anc1=anc1, anc3=anc3,
@@ -195,52 +257,49 @@ def phase_known_machine(
     )
 
 
-@dataclass(frozen=True)
-class _MapCoefficients:
-    """Quadrature coefficients of the displaced beam over the noise sources
-    (input, a1, a2, loss vacuum), plus the measured-operator decomposition."""
-
-    tx: np.ndarray  # transmitted beam, x
-    tp: np.ndarray
-    mx: np.ndarray  # measured X operator
-    mp: np.ndarray  # measured P operator (inert when t2 == 1)
-    cx: np.ndarray  # displaced beam, x = tx + g_x * mx
-    cp: np.ndarray
-    varx: np.ndarray  # source variances, input shot noise first
-    varp: np.ndarray
-    g_x: float
-    g_p: float  # effective gain (0 when t2 == 1)
-    anc3: tuple[float, float]
-    has_p_outcome: bool
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, one BLAS dot per row: the bits of
+    the 1-D ``a @ b`` on each row, which ``(a * b).sum(-1)`` does not
+    reproduce."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _coefficients(cfg: ClonerConfig) -> _MapCoefficients:
-    s1, r1 = math.sqrt(cfg.t1), math.sqrt(1.0 - cfg.t1)
-    s2, r2 = math.sqrt(cfg.t2), math.sqrt(1.0 - cfg.t2)
-    tau = cfg.feedforward_transmission
-    st, rt = math.sqrt(tau), math.sqrt(1.0 - tau)
-    has_p = cfg.t2 < 1.0
-    g_p = cfg.g_p if has_p else 0.0
+def _machine_map(machines: np.ndarray, elec_noise: float):
+    """Quadrature coefficients of a stack of machines over the noise
+    sources (input, a1, a2, loss vacuum), for x and p.
 
-    tx = np.array([s1, r1, 0.0, 0.0])
-    tp = tx.copy()
-    mx = np.array([st * s2 * r1, -st * s2 * s1, r2, rt * s2])
-    mp = np.array([st * r2 * r1, -st * r2 * s1, -s2, rt * r2])
-    vx1, vp1 = cfg.anc1
-    return _MapCoefficients(
-        tx=tx,
-        tp=tp,
-        mx=mx,
-        mp=mp,
-        cx=tx + cfg.g_x * mx,
-        cp=tp + g_p * mp,
-        varx=np.array([1.0, vx1, 1.0, 1.0]),
-        varp=np.array([1.0, vp1, 1.0, 1.0]),
-        g_x=cfg.g_x,
-        g_p=g_p,
-        anc3=cfg.anc3,
-        has_p_outcome=has_p,
-    )
+    ``machines`` is an (n, 10) array in ``MACHINE_COLUMNS`` order.  Returns
+    ``(t, m, g, var)``: ``t[i, q]`` and ``m[i, q]`` are the coefficient
+    vectors of the transmitted beam and of the measured X (q = 0) or P
+    (q = 1) operator, ``g[i, q]`` the effective gain (g_p is 0 when t2 == 1,
+    where no P outcome exists) and ``var[i, q]`` the source variances, input
+    shot noise first.  The displaced beam is ``t + g * m``.
+    """
+    if not machines[:, 0].all():
+        raise ValueError("t1 = 0 requires infinite feedforward gain")
+    if not (math.isfinite(elec_noise) and elec_noise >= 0):
+        raise ValueError(f"elec_noise must be finite and non-negative, got {elec_noise}")
+    t1, t2, g_x, g_p, vx1, vp1, _, _, eta_ff, visibility = machines.T
+    tau = _transmission(eta_ff, visibility)
+    s1, r1, s2, r2, st, rt = np.sqrt([t1, 1.0 - t1, t2, 1.0 - t2, tau, 1.0 - tau])
+    one = np.ones_like(t1)
+    zero = 0.0 * one
+    t = [[s1, r1, zero, zero]] * 2
+    m = [[st * s2 * r1, -st * s2 * s1, r2, rt * s2], [st * r2 * r1, -st * r2 * s1, -s2, rt * r2]]
+    var = [[one, vx1, one, one], [one, vp1, one, one]]
+    # machine first, each 4-vector contiguous for the BLAS dots
+    t, m, var = np.array([t, m, var]).transpose(3, 0, 1, 2).copy().swapaxes(0, 1)
+    g = np.array([g_x, np.where(t2 < 1.0, g_p, 0.0)]).T
+    return t, m, g, var
+
+
+def _clone_stats(machines: np.ndarray, elec_noise: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gains and variances, each (n, 2) over (x, p), of a stack of machines."""
+    t, m, g, var = _machine_map(machines, elec_noise)
+    c = t + g[..., None] * m
+    lam = c[..., 0] / SQRT2
+    sigma = (_dot(c, c * var) + g * g * elec_noise) / 2.0 + machines[:, 6:8] / 2.0
+    return lam, sigma
 
 
 def heisenberg_clone_stats(cfg: ClonerConfig, elec_noise: float = 0.0) -> CloneStatistics:
@@ -251,19 +310,26 @@ def heisenberg_clone_stats(cfg: ClonerConfig, elec_noise: float = 0.0) -> CloneS
     At t2 = 1/2 with the matched gain this reduces to gain 1/sqrt(2 t1) and
     variance 1/t1 per quadrature.
     """
-    if cfg.t1 == 0.0:
-        raise ValueError("t1 = 0 requires infinite feedforward gain")
-    if not (math.isfinite(elec_noise) and elec_noise >= 0):
-        raise ValueError(f"elec_noise must be finite and non-negative, got {elec_noise}")
-    c = _coefficients(cfg)
-    vx3, vp3 = c.anc3
-    var_dx = float(c.cx @ (c.cx * c.varx)) + c.g_x**2 * elec_noise
-    var_dp = float(c.cp @ (c.cp * c.varp)) + c.g_p**2 * elec_noise
+    lam, sigma = _clone_stats(np.array([cfg.as_row()]), elec_noise)
+    (lx, lp), (sx, sp) = lam[0].tolist(), sigma[0].tolist()
+    return CloneStatistics(lambda_x=lx, lambda_p=lp, sigma_x=sx, sigma_p=sp)
+
+
+def batched_clone_stats(machines, elec_noise: float = 0.0) -> CloneStatistics:
+    """``heisenberg_clone_stats`` of many machines in one call.
+
+    ``machines`` is an (n, 10) array, one machine per row in
+    ``MACHINE_COLUMNS`` order, checked by ClonerConfig's rules with its
+    messages.  The statistics are arrays of n entries, each equal bit for
+    bit to that of the machine's own ``ClonerConfig``.
+    """
+    machines = np.asarray(machines, dtype=float)
+    if machines.ndim != 2 or machines.shape[1] != len(MACHINE_COLUMNS):
+        raise ValueError(f"machines must have shape (n, 10), got {machines.shape}")
+    _check_machines(*machines.T)
+    lam, sigma = _clone_stats(machines, elec_noise)
     return CloneStatistics(
-        lambda_x=float(c.cx[0]) / SQRT2,
-        lambda_p=float(c.cp[0]) / SQRT2,
-        sigma_x=var_dx / 2.0 + vx3 / 2.0,
-        sigma_p=var_dp / 2.0 + vp3 / 2.0,
+        lambda_x=lam[:, 0], lambda_p=lam[:, 1], sigma_x=sigma[:, 0], sigma_p=sigma[:, 1]
     )
 
 
@@ -274,8 +340,10 @@ def phase_known_clone_stats(anc1, anc3) -> CloneStatistics:
     sigma_p = (1 + var_p(a1))/4 + var_p(a3)/2.  Matches
     ``heisenberg_clone_stats`` on the equivalent configuration.
     """
-    vx1, vp1 = _check_ancilla("anc1", anc1)
-    vx3, vp3 = _check_ancilla("anc3", anc3)
+    vx1, vp1 = float(anc1[0]), float(anc1[1])
+    vx3, vp3 = float(anc3[0]), float(anc3[1])
+    _check_ancilla("anc1", vx1, vp1)
+    _check_ancilla("anc3", vx3, vp3)
     return CloneStatistics(
         lambda_x=1.0,
         lambda_p=0.5,
@@ -296,20 +364,14 @@ def clone_output_state(
     """
     if input_state.n_modes != 1:
         raise ValueError("cloner expects a single-mode input")
-    if cfg.t1 == 0.0:
-        raise ValueError("t1 = 0 requires infinite feedforward gain")
-    c = _coefficients(cfg)
-    vx3, vp3 = c.anc3
+    t, m, g, var = _machine_map(np.array([cfg.as_row()]), elec_noise)
+    c = (t + g[..., None] * m)[0]
+    vx3, vp3 = cfg.anc3
 
-    lam = np.diag([float(c.cx[0]) / SQRT2, float(c.cp[0]) / SQRT2])
+    lam = np.diag(c[:, 0] / SQRT2)
     shared = lam @ input_state.cov @ lam.T
     # noise entering through the displaced beam, excluding the input itself
-    nx = (
-        float(c.cx[1:] @ (c.cx[1:] * c.varx[1:])) + c.g_x**2 * elec_noise
-    ) / 2.0
-    np_ = (
-        float(c.cp[1:] @ (c.cp[1:] * c.varp[1:])) + c.g_p**2 * elec_noise
-    ) / 2.0
+    nx, np_ = ((_dot(c[:, 1:], (c * var[0])[:, 1:]) + g[0] * g[0] * elec_noise) / 2.0).tolist()
 
     same = shared + np.diag([nx + vx3 / 2.0, np_ + vp3 / 2.0])
     cross = shared + np.diag([nx - vx3 / 2.0, np_ - vp3 / 2.0])
@@ -344,38 +406,34 @@ class _TrajectoryModel:
 
 
 def _trajectory_model(cfg: ClonerConfig, elec_noise: float = 0.0) -> _TrajectoryModel:
-    if cfg.t1 == 0.0:
-        raise ValueError("t1 = 0 requires infinite feedforward gain")
-    if not (math.isfinite(elec_noise) and elec_noise >= 0):
-        raise ValueError(f"elec_noise must be finite and non-negative, got {elec_noise}")
-    c = _coefficients(cfg)
-    vx3, vp3 = c.anc3
+    t, m, g, var = _machine_map(np.array([cfg.as_row()]), elec_noise)
+    mv = m * var
+    (var_xm, var_pm), (cov_tx, cov_tp), (var_tx, var_tp) = (
+        _dot(a, b)[0].tolist() for a, b in ((m, mv), (t, mv), (t, t * var))
+    )
+    (tx0, tp0), (mx0, mp0) = t[0, :, 0].tolist(), m[0, :, 0].tolist()
+    g_x, g_p = g[0].tolist()
+    vx3, vp3 = cfg.anc3
+    has_p = cfg.t2 < 1.0
 
-    var_xm = float(c.mx @ (c.mx * c.varx))
-    var_pm = float(c.mp @ (c.mp * c.varp))
-    cov_tx = float(c.tx @ (c.mx * c.varx))
-    cov_tp = float(c.tp @ (c.mp * c.varp))
     kx = cov_tx / var_xm if var_xm > 0 else 0.0
-    kp = (cov_tp / var_pm if var_pm > 0 else 0.0) if c.has_p_outcome else 0.0
-
-    var_tx = float(c.tx @ (c.tx * c.varx))
-    var_tp = float(c.tp @ (c.tp * c.varp))
+    kp = (cov_tp / var_pm if var_pm > 0 else 0.0) if has_p else 0.0
     cond_tx = var_tx - kx * cov_tx
-    cond_tp = var_tp - kp * cov_tp if c.has_p_outcome else var_tp
+    cond_tp = var_tp - kp * cov_tp if has_p else var_tp
 
     return _TrajectoryModel(
-        out_coeff_x=float(c.mx[0]),
+        out_coeff_x=mx0,
         out_var_x=var_xm,
-        out_coeff_p=float(c.mp[0]),
+        out_coeff_p=mp0,
         out_var_p=var_pm,
-        ax=(float(c.tx[0]) - kx * float(c.mx[0])) / SQRT2,
-        bx=(kx + c.g_x) / SQRT2,
-        ex=c.g_x / SQRT2,
-        ap=(float(c.tp[0]) - kp * float(c.mp[0])) / SQRT2,
-        bp=(kp + c.g_p) / SQRT2,
-        ep=c.g_p / SQRT2,
+        ax=(tx0 - kx * mx0) / SQRT2,
+        bx=(kx + g_x) / SQRT2,
+        ex=g_x / SQRT2,
+        ap=(tp0 - kp * mp0) / SQRT2,
+        bp=(kp + g_p) / SQRT2,
+        ep=g_p / SQRT2,
         cond_var=np.array([(cond_tx + vx3) / 2.0, (cond_tp + vp3) / 2.0]),
-        has_p_outcome=c.has_p_outcome,
+        has_p_outcome=has_p,
         elec_noise=elec_noise,
     )
 

@@ -6,7 +6,6 @@ known-phase noise budget (Figure 4) and the closed-form identity suite that
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -22,7 +21,9 @@ from .benchmarks import (
     phase_known_optimal_bound,
 )
 from .cloner import (
+    MACHINE_COLUMNS,
     ClonerConfig,
+    batched_clone_stats,
     gaussian_machine,
     heisenberg_clone_stats,
     matched_gain,
@@ -44,7 +45,7 @@ def sweep_rows(v_grid, eta_ff: float, visibility: float, fixed=None) -> list[dic
     holds one operating point across the grid instead; its gain column is
     g_x.
     """
-    rows = []
+    rows, machines = [], []
     for v in v_grid:
         if fixed is None:
             t1 = optimal_gaussian_fidelity(v).t1
@@ -57,18 +58,14 @@ def sweep_rows(v_grid, eta_ff: float, visibility: float, fixed=None) -> list[dic
             lossy = ClonerConfig(
                 t1=t1, t2=0.5, g_x=gain, g_p=g_p, eta_ff=eta_ff, visibility=visibility
             )
-        alphabet = SymmetricGaussian(v)
-        rows.append(
-            {
-                "sqrt_v": math.sqrt(v),
-                "v": v,
-                "t1": t1,
-                "gain": gain,
-                "f_ideal": average_fidelity(heisenberg_clone_stats(ideal), alphabet),
-                "f_imperfect": average_fidelity(heisenberg_clone_stats(lossy), alphabet),
-                "f_classical": classical_gaussian_alphabet(v).fidelity,
-            }
-        )
+        machines += [ideal.as_row(), lossy.as_row()]
+        rows.append({"sqrt_v": math.sqrt(v), "v": v, "t1": t1, "gain": gain})
+    stats = batched_clone_stats(np.reshape(machines, (-1, len(MACHINE_COLUMNS))))
+    for i, row in enumerate(rows):
+        alphabet = SymmetricGaussian(row["v"])
+        row["f_ideal"] = average_fidelity(stats.machine(2 * i), alphabet)
+        row["f_imperfect"] = average_fidelity(stats.machine(2 * i + 1), alphabet)
+        row["f_classical"] = classical_gaussian_alphabet(row["v"]).fidelity
     return rows
 
 
@@ -195,48 +192,47 @@ def verification_checks() -> list[tuple[str, float, float]]:
         gaps.append(res.certificate["fidelity"])
     checks.append(("classical-gaussian-oracle", max(gaps), 1e-6))
 
-    gaps = []
-    for t1 in np.linspace(0.05, 1.0, 39):
-        stats = heisenberg_clone_stats(gaussian_machine(float(t1)))
-        gaps.append(abs(stats.lambda_x - 1.0 / math.sqrt(2.0 * t1)))
-        gaps.append(abs(stats.lambda_p - 1.0 / math.sqrt(2.0 * t1)))
-    checks.append(("matched-gain-law", max(gaps), 1e-12))
+    t1 = np.linspace(0.05, 1.0, 39)
+    g = matched_gain(t1)
+    stats = batched_clone_stats(_machines(t1=t1, g_x=g, g_p=g))
+    law = 1.0 / np.sqrt(2.0 * t1)
+    gaps = np.maximum(abs(stats.lambda_x - law), abs(stats.lambda_p - law))
+    checks.append(("matched-gain-law", float(gaps.max()), 1e-12))
 
     rng = np.random.default_rng(7)
-    gaps = []
     base = heisenberg_clone_stats(gaussian_machine(0.7))
-    for _ in range(50):
-        vx = float(np.exp(rng.uniform(-1.5, 1.5)))
-        vp = float(rng.uniform(1.0, 3.0)) / vx
-        stats = heisenberg_clone_stats(gaussian_machine(0.7, anc1=(vx, vp)))
-        gaps.append(
-            max(
-                abs(stats.lambda_x - base.lambda_x),
-                abs(stats.lambda_p - base.lambda_p),
-                abs(stats.sigma_x - base.sigma_x),
-                abs(stats.sigma_p - base.sigma_p),
-            )
-        )
-    checks.append(("tap-ancilla-cancellation", max(gaps), 1e-10))
+    # one (vx, product) row per machine, drawn in the order of
+    # rng.uniform(-1.5, 1.5) then rng.uniform(1.0, 3.0)
+    u = np.array([-1.5, 1.0]) + np.array([3.0, 2.0]) * rng.random((50, 2))
+    vx = np.exp(u[:, 0])
+    stats = batched_clone_stats(
+        _machines(t1=0.7, g_x=matched_gain(0.7), g_p=matched_gain(0.7), vx1=vx, vp1=u[:, 1] / vx)
+    )
+    gaps = [
+        abs(stats.lambda_x - base.lambda_x),
+        abs(stats.lambda_p - base.lambda_p),
+        abs(stats.sigma_x - base.sigma_x),
+        abs(stats.sigma_p - base.sigma_p),
+    ]
+    checks.append(("tap-ancilla-cancellation", float(np.max(gaps)), 1e-10))
 
-    worst = math.inf
-    for cfg in _random_configs(np.random.default_rng(11), 1000):
-        dn_x, dn_p = heisenberg_clone_stats(cfg).referred_noise()
-        worst = min(worst, dn_x * dn_p)
+    machines = _random_machines(np.random.default_rng(11), 1000)
+    dn_x, dn_p = batched_clone_stats(machines).referred_noise()
+    worst = float((dn_x * dn_p).min())
     checks.append(("referred-noise-uncertainty-product", max(0.0, 1.0 - worst), 1e-9))
 
     return checks
 
 
-# the ranges of _random_configs' draw columns: log vx1, log vx3, t1, t2,
+# the ranges of _random_machines' draw columns: log vx1, log vx3, t1, t2,
 # g_x, g_p, vx1 * vp1, vx3 * vp3, eta_ff, visibility
 _CONFIG_LO = np.array([-1.2, -1.2, 0.05, 0.1, 0.0, 0.0, 1.0, 1.0, 0.85, 0.9])
 _CONFIG_HI = np.array([1.2, 1.2, 1.0, 0.95, 2.5, 2.5, 3.0, 3.0, 1.0, 1.0])
 
 
-def _random_configs(rng: np.random.Generator, n: int) -> Iterator[ClonerConfig]:
-    """n random machines with random squeezed ancillas, from one
-    ``rng.random((n, 10))`` draw, built one at a time as they are consumed.
+def _random_machines(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n random machines with random squeezed ancillas, as an (n, 10) array
+    in ``MACHINE_COLUMNS`` order, from one ``rng.random((n, 10))`` draw.
 
     Row i holds machine i's draws in the columns of ``_CONFIG_LO``;
     ``lo + (hi - lo) * u`` is the value ``rng.uniform(lo, hi)`` returns for
@@ -244,8 +240,16 @@ def _random_configs(rng: np.random.Generator, n: int) -> Iterator[ClonerConfig]:
     """
     u = _CONFIG_LO + (_CONFIG_HI - _CONFIG_LO) * rng.random((n, 10))
     vx1, vx3 = np.exp(u[:, 0]), np.exp(u[:, 1])
-    # ClonerConfig's field order: t1, t2, g_x, g_p, anc1, anc3, eta_ff, visibility
-    rows = np.column_stack([u[:, 2:6], vx1, u[:, 6] / vx1, vx3, u[:, 7] / vx3, u[:, 8:]])
-    for row in rows:
-        r = row.tolist()
-        yield ClonerConfig(*r[:4], (r[4], r[5]), (r[6], r[7]), *r[8:])
+    return np.column_stack([u[:, 2:6], vx1, u[:, 6] / vx1, vx3, u[:, 7] / vx3, u[:, 8:]])
+
+
+# every column but t1 at ClonerConfig's default
+_MACHINE_DEFAULTS = dict(zip(MACHINE_COLUMNS[1:], ClonerConfig(t1=1.0).as_row()[1:]))
+
+
+def _machines(**columns) -> np.ndarray:
+    """A stack of machines from named ``MACHINE_COLUMNS`` values, each a
+    scalar or one entry per machine; a column left out takes ClonerConfig's
+    default."""
+    values = {**_MACHINE_DEFAULTS, **columns}
+    return np.column_stack(np.broadcast_arrays(*(values[name] for name in MACHINE_COLUMNS)))

@@ -75,7 +75,8 @@ class TrajectoryBatch:
     outlives its block.  Aggregates are reproducible bit-exactly from
     (config, alphabet, seed, n_traj, elec_noise).  Gains are through-origin
     regression slopes of the clone mean on the input mean; a gain is NaN
-    when the input means carry no signal in that quadrature.
+    when the input means carry no signal in that quadrature, and
+    ``no_signal`` names those quadrature(s), "x" or "p".
     Variances combine the fixed conditional clone covariance with the
     outcome-induced mean scatter.  Standard errors are sample standard
     deviations over trajectories divided by sqrt(n_traj).
@@ -100,6 +101,7 @@ class TrajectoryBatch:
     se_sigma_x: float
     se_sigma_p: float
     se_f: float
+    no_signal: tuple[str, ...]
 
 
 def _alphabet_draws(alphabet: Alphabet) -> int:
@@ -220,16 +222,17 @@ def _statistics(fits: list, n: int, cond_var) -> dict:
 
     A gain is the through-origin slope, NaN when the input carries no
     signal (Σu² below ``_NO_SIGNAL``), in which case the residual is taken
-    against the mean.  The per-shot variance is cond_var + residual², and
-    standard errors are sample standard deviations over trajectories /
-    sqrt(n).
+    against the mean and the quadrature joins ``no_signal``.  The per-shot
+    variance is cond_var + residual², and standard errors are sample
+    standard deviations over trajectories / sqrt(n).
     """
-    out: dict = {}
+    out: dict = {"no_signal": ()}
     for q, name in ((0, "x"), (1, "p")):
         (lam, sig), mean_fit = fits[2 * q], fits[2 * q + 1]
         if sig[0] < _NO_SIGNAL:
             lam = se_lam = math.nan
             sig = mean_fit[1]
+            out["no_signal"] += (name,)
         else:
             se_lam = math.sqrt(sig[2] / max(n - 1, 1) / sig[0])
         srr, sr4 = sig[2], sig[4]
@@ -333,9 +336,10 @@ def run_batch(
 def compare_with_analytic(batch: TrajectoryBatch) -> dict[str, dict[str, float]]:
     """Side-by-side empirical vs analytic statistics with z scores.
 
-    Entries whose empirical estimate is undefined (for example the phase
-    gain under an alphabet with zero phase mean) are omitted.  A deviation
-    below 1e-12 counts as an exact match regardless of the standard error.
+    A gain whose quadrature carries no input signal (for example the phase
+    gain under an alphabet with zero phase mean) is undefined and omitted;
+    any other NaN estimate raises ValueError naming it.  A deviation below
+    1e-12 counts as an exact match regardless of the standard error.
     """
     stats = heisenberg_clone_stats(batch.config, batch.elec_noise)
     analytic = {
@@ -362,7 +366,9 @@ def compare_with_analytic(batch: TrajectoryBatch) -> dict[str, dict[str, float]]
     table: dict[str, dict[str, float]] = {}
     for name, emp in empirical.items():
         if math.isnan(emp):
-            continue
+            if name.startswith("lambda_") and name[-1] in batch.no_signal:
+                continue
+            raise ValueError(f"Monte Carlo estimate {name} is NaN")
         diff = emp - analytic[name]
         se = ses[name]
         if abs(diff) < 1e-12:

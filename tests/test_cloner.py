@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvclone.benchmarks import KnownPhase, average_fidelity
 from cvclone.cloner import (
+    MACHINE_COLUMNS,
     ClonerConfig,
     CloningCircuit,
+    batched_clone_stats,
     build_circuit,
+    check_fraction,
     clone_output_state,
     gaussian_machine,
     heisenberg_clone_stats,
@@ -341,3 +344,117 @@ def test_circuit_shot_builds_only_the_outcome_dependent_states(monkeypatch, cfg,
     for _ in range(10):
         circuit.run(rng, elec_noise=0.1)
     assert 0 < count <= 10 * per_shot
+
+
+def _written_out_stats(row, elec_noise):
+    """Gains and variances of one machine by the 1-D formula: the displaced
+    beam's coefficients over (input, a1, a2, loss vacuum) and
+    sigma = (c @ (c * var) + g^2 elec_noise) / 2 + var(a3) / 2."""
+    t1, t2, g_x, g_p, vx1, vp1, vx3, vp3, eta, vis = row
+    s1, r1 = math.sqrt(t1), math.sqrt(1.0 - t1)
+    s2, r2 = math.sqrt(t2), math.sqrt(1.0 - t2)
+    tau = eta * (vis * vis)
+    st_, rt = math.sqrt(tau), math.sqrt(1.0 - tau)
+    g_p = g_p if t2 < 1.0 else 0.0
+    tx = np.array([s1, r1, 0.0, 0.0])
+    cx = tx + g_x * np.array([st_ * s2 * r1, -st_ * s2 * s1, r2, rt * s2])
+    cp = tx + g_p * np.array([st_ * r2 * r1, -st_ * r2 * s1, -s2, rt * r2])
+    varx = np.array([1.0, vx1, 1.0, 1.0])
+    varp = np.array([1.0, vp1, 1.0, 1.0])
+    return [
+        float(cx[0]) / math.sqrt(2.0),
+        float(cp[0]) / math.sqrt(2.0),
+        (float(cx @ (cx * varx)) + g_x * g_x * elec_noise) / 2.0 + vx3 / 2.0,
+        (float(cp @ (cp * varp)) + g_p * g_p * elec_noise) / 2.0 + vp3 / 2.0,
+    ]
+
+
+_machine_rows = st.lists(
+    st.tuples(
+        st.floats(0.01, 1.0), st.one_of(st.floats(0.0, 1.0), st.just(1.0)),
+        st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+        st.floats(-1.5, 1.5), st.floats(1.0, 3.0),
+        st.floats(-1.5, 1.5), st.floats(1.0, 3.0),
+        st.floats(0.05, 1.0), st.floats(0.05, 1.0),
+    ).map(lambda r: (*r[:4], math.exp(r[4]), r[5] / math.exp(r[4]),
+                     math.exp(r[6]), r[7] / math.exp(r[6]), *r[8:])),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_machine_rows, st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+# a visibility whose square Python's pow rounds differently from v * v
+@example([(0.8, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.9386328699343535)], 0.37)
+def test_batched_stats_equal_the_written_out_formula_bit_for_bit(rows, elec_noise):
+    batched = batched_clone_stats(np.array(rows), elec_noise)
+    for i, row in enumerate(rows):
+        expected = _written_out_stats(row, elec_noise)
+        got = [batched.lambda_x[i], batched.lambda_p[i], batched.sigma_x[i], batched.sigma_p[i]]
+        assert got == expected
+        cfg = ClonerConfig(*row[:4], row[4:6], row[6:8], *row[8:])
+        assert list(vars(heisenberg_clone_stats(cfg, elec_noise)).values()) == expected
+        # the circuit's loss channel uses the same square
+        assert cfg.feedforward_transmission == row[8] * (row[9] * row[9])
+
+
+def test_referred_noise_product_over_many_machines_in_one_call():
+    # verify's ranges, 10^5 machines instead of 1000
+    rng = np.random.default_rng(2024)
+    n = 100_000
+    lo = np.array([-1.2, -1.2, 0.05, 0.1, 0.0, 0.0, 1.0, 1.0, 0.85, 0.9])
+    hi = np.array([1.2, 1.2, 1.0, 0.95, 2.5, 2.5, 3.0, 3.0, 1.0, 1.0])
+    u = lo + (hi - lo) * rng.random((n, 10))
+    vx1, vx3 = np.exp(u[:, 0]), np.exp(u[:, 1])
+    machines = np.column_stack([u[:, 2:6], vx1, u[:, 6] / vx1, vx3, u[:, 7] / vx3, u[:, 8:]])
+    dn_x, dn_p = batched_clone_stats(machines).referred_noise()
+    assert dn_x.shape == (n,)
+    assert (dn_x * dn_p).min() >= 1.0 - 1e-9
+
+
+_GOOD_ROW = ClonerConfig(t1=0.6, g_x=0.9, g_p=1.1, anc1=(2.0, 0.6), eta_ff=0.9).as_row()
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [
+        ("t1", 1.3), ("t2", -0.1), ("eta_ff", 0.0), ("visibility", math.nan),
+        ("g_x", math.inf), ("g_p", math.nan), ("vx1", math.nan), ("vp3", 0.0),
+        ("vx1", 0.5), ("vp3", 0.2),
+    ],
+)
+def test_batched_stats_reject_a_bad_machine_with_the_config_message(column, value):
+    row = list(_GOOD_ROW)
+    row[MACHINE_COLUMNS.index(column)] = value
+    with pytest.raises(ValueError) as config_error:
+        ClonerConfig(*row[:4], row[4:6], row[6:8], *row[8:])
+    machines = np.array([_GOOD_ROW] * 3 + [row] + [_GOOD_ROW])
+    with pytest.raises(ValueError) as batch_error:
+        batched_clone_stats(machines)
+    assert str(batch_error.value) == str(config_error.value)
+
+
+def test_batched_stats_reject_zero_transmittance_and_bad_shapes():
+    row = list(_GOOD_ROW)
+    row[0] = 0.0
+    with pytest.raises(ValueError, match="t1 = 0 requires infinite feedforward gain"):
+        batched_clone_stats(np.array([_GOOD_ROW, row]))
+    with pytest.raises(ValueError, match="shape"):
+        batched_clone_stats(np.array(_GOOD_ROW))
+    with pytest.raises(ValueError, match="elec_noise"):
+        batched_clone_stats(np.array([_GOOD_ROW]), elec_noise=-1.0)
+
+
+def test_check_fraction_on_floats_and_arrays():
+    assert check_fraction("eta", 0.5) == 0.5
+    assert check_fraction("t1", 0.0, allow_zero=True) == 0.0
+    with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\], got 0.0$"):
+        check_fraction("eta", 0.0)
+    values = np.array([0.5, 1.0, 1.5, -2.0])
+    with pytest.raises(ValueError, match=r"^v must lie in \[0, 1\], got 1.5$"):
+        check_fraction("v", values, allow_zero=True)
+    inside = values[:2]
+    assert check_fraction("v", inside) is inside
+    with pytest.raises(ValueError, match="got nan"):
+        check_fraction("v", np.array([0.5, math.nan]))

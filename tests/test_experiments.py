@@ -3,7 +3,7 @@
 import numpy as np
 
 from cvclone.cloner import ClonerConfig
-from cvclone.experiments import _random_configs
+from cvclone.experiments import _random_machines
 
 
 def _scalar_config(rng: np.random.Generator) -> ClonerConfig:
@@ -26,7 +26,6 @@ def _scalar_config(rng: np.random.Generator) -> ClonerConfig:
 def test_one_draw_gives_the_machines_of_ten_scalar_draws_each():
     rng = np.random.default_rng(11)
     reference = [_scalar_config(rng) for _ in range(1000)]
-    configs = list(_random_configs(np.random.default_rng(11), 1000))
-    assert configs == reference
-    assert all(type(x) is float for x in (configs[0].t1, configs[0].anc1[1]))
+    machines = _random_machines(np.random.default_rng(11), 1000)
+    assert machines.tolist() == [list(cfg.as_row()) for cfg in reference]
 

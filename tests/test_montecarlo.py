@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -86,6 +87,21 @@ def test_single_state_batch_matches_analytic():
     assert set(table) == {"lambda_x", "sigma_x", "sigma_p", "fidelity"}
     for row in table.values():
         assert abs(row["z"]) <= 4.0
+
+
+def test_compare_skips_only_a_gain_without_input_signal():
+    known = run_batch(phase_known_machine(), KnownPhase(), 2000, seed=3)
+    assert known.no_signal == ("p",)
+    assert "lambda_p" not in compare_with_analytic(known)
+    gaussian = run_batch(gaussian_machine(0.8), SymmetricGaussian(1.0), 2000, seed=3)
+    assert gaussian.no_signal == ()
+    # a NaN that no missing signal explains is an error, not a dropped row
+    for name in ("lambda_p", "lambda_x", "sigma_x", "f_hat"):
+        broken = dataclasses.replace(gaussian, **{name: math.nan})
+        with pytest.raises(ValueError, match=name.replace("f_hat", "fidelity")):
+            compare_with_analytic(broken)
+    with pytest.raises(ValueError, match="sigma_p"):
+        compare_with_analytic(dataclasses.replace(known, sigma_p=math.nan))
 
 
 class _Replay:

@@ -17,6 +17,7 @@ from cvclone.optimize import (
     _GH_HET_NOISE,
     _GH_HET_WEIGHTS,
     _GH_NODES,
+    _constrained_map_fidelity,
     golden_section_max,
     heterodyne_reprepare_fidelity,
     homodyne_squeezed_fidelity,
@@ -174,3 +175,49 @@ def test_optimizer_dominates_random_known_phase_draws():
         c = max(1.0, ((1 - lam) / lam) ** 2)
         f = known_phase_map_fidelity(lam, dn_x, c / dn_x)
         assert f <= res.f_value + 1e-9
+
+
+# the grids as the optimisers lay them out, each scanned point by point
+# with the scalar objective (the loops the array calls replace) and in one
+# array call; the grid only picks the golden-section bracket, so the two
+# must pick the same point
+WIDTHS = np.geomspace(0.01, 100.0, 300).tolist()
+
+
+def _argmax_per_point(f, xs):
+    return int(np.argmax([f(x) for x in xs.tolist()]))
+
+
+def test_heterodyne_grid_picks_the_per_point_argmax():
+    gains = np.linspace(0.0, 1.0, 201)
+    for v in WIDTHS:
+        expected = _argmax_per_point(lambda g: heterodyne_reprepare_fidelity(g, v), gains)
+        assert int(np.argmax(heterodyne_reprepare_fidelity(gains, v))) == expected, v
+
+
+def test_heterodyne_array_route_agrees_with_the_scalar_route():
+    gains = np.linspace(0.0, 1.0, 201)
+    for v in (0.01, 1.72, 100.0):
+        scalar = [heterodyne_reprepare_fidelity(g, v) for g in gains.tolist()]
+        assert np.allclose(heterodyne_reprepare_fidelity(gains, v), scalar, rtol=1e-14, atol=0)
+
+
+def test_homodyne_grid_picks_the_per_point_argmax():
+    for n in range(2, 302):
+        s = np.linspace(0.05, 8.0, n)
+        expected = _argmax_per_point(homodyne_squeezed_fidelity, s)
+        assert int(np.argmax(homodyne_squeezed_fidelity(s))) == expected, n
+
+
+def test_squeezed_map_grid_picks_the_first_per_point_maximum():
+    for n in range(2, 66):
+        lams = np.linspace(0.10, 0.95, n)
+        dns = np.linspace(0.05, 3.0, n)
+        best, expected = -1.0, None
+        for i, lam in enumerate(lams.tolist()):
+            for j, dn in enumerate(dns.tolist()):
+                f = _constrained_map_fidelity(lam, dn)
+                if f > best:
+                    best, expected = f, (i, j)
+        grid = _constrained_map_fidelity(lams[:, None], dns[None, :])
+        assert np.unravel_index(np.argmax(grid), grid.shape) == expected, n
