@@ -9,7 +9,6 @@ Monte Carlo engine with experimental imperfections.
 
 from .benchmarks import (
     Alphabet,
-    FlatLimit,
     KnownPhase,
     Regime,
     Single,

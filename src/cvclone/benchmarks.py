@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -36,8 +37,9 @@ __all__ = [
     "SymmetricGaussian",
     "KnownPhase",
     "Single",
-    "FlatLimit",
     "Alphabet",
+    "MAX_ALPHABET_VARIANCE",
+    "check_alphabet_variance",
     "Regime",
     "average_fidelity",
     "gaussian_alphabet_fidelity",
@@ -64,6 +66,18 @@ KNOWN_PHASE_BENCHMARK_NOTE = (
 )
 
 
+# the largest V with 6 V finite (max / 6 itself rounds up past it); the
+# closed forms overflow above it
+MAX_ALPHABET_VARIANCE = math.nextafter(sys.float_info.max / 6.0, 0.0)
+
+
+def check_alphabet_variance(v) -> None:
+    """Reject an alphabet variance outside (0, ``MAX_ALPHABET_VARIANCE``], NaN too."""
+    if not 0.0 < v <= MAX_ALPHABET_VARIANCE:
+        raise ValueError("alphabet variance must be finite and positive, and at most "
+                         f"{MAX_ALPHABET_VARIANCE:.6g}, got {v}")
+
+
 @dataclass(frozen=True)
 class SymmetricGaussian:
     """Isotropic Gaussian alphabet of coherent states with variance V > 0."""
@@ -71,10 +85,7 @@ class SymmetricGaussian:
     variance: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.variance) and self.variance > 0):
-            raise ValueError(
-                f"alphabet variance must be finite and positive, got {self.variance}"
-            )
+        check_alphabet_variance(self.variance)
 
 
 @dataclass(frozen=True)
@@ -104,12 +115,7 @@ class Single:
             raise ValueError("coherent means must be finite")
 
 
-@dataclass(frozen=True)
-class FlatLimit:
-    """Completely unknown coherent state, the V -> infinity analytic limit."""
-
-
-Alphabet = Union[SymmetricGaussian, KnownPhase, Single, FlatLimit]
+Alphabet = Union[SymmetricGaussian, KnownPhase, Single]
 
 
 class Regime(enum.Enum):
@@ -121,9 +127,9 @@ def average_fidelity(stats: CloneStatistics, alphabet: Alphabet) -> float:
     """Average cloning fidelity of the given machine statistics.
 
     Gaussian alphabet: closed Gaussian integral with the 4V(1-lambda)^2 gain
-    penalty per quadrature.  Single state: the one-shot overlap.  Known phase
-    (and the flat limit): requires unit amplitude gain, else the average over
-    the unbounded amplitudes vanishes and the request is rejected.
+    penalty per quadrature.  Single state: the one-shot overlap.  Known
+    phase: requires unit amplitude gain, else the average over the unbounded
+    amplitudes vanishes and the request is rejected.
     """
     if isinstance(alphabet, SymmetricGaussian):
         v = alphabet.variance
@@ -144,10 +150,6 @@ def average_fidelity(stats: CloneStatistics, alphabet: Alphabet) -> float:
                 f"(got {stats.lambda_x})"
             )
         return 2.0 / math.sqrt((1.0 + stats.sigma_x) * (1.0 + stats.sigma_p))
-    if isinstance(alphabet, FlatLimit):
-        if abs(stats.lambda_x - 1.0) > UNIT_GAIN_TOL or abs(stats.lambda_p - 1.0) > UNIT_GAIN_TOL:
-            raise ValueError("flat-limit average requires unit gain in both quadratures")
-        return 2.0 / math.sqrt((1.0 + stats.sigma_x) * (1.0 + stats.sigma_p))
     raise TypeError(f"unsupported alphabet {alphabet!r}")
 
 
@@ -159,8 +161,7 @@ def gaussian_alphabet_fidelity(t1: float, v: float) -> float:
     """
     if not 0.0 < t1 <= 1.0:
         raise ValueError(f"t1 must lie in (0, 1], got {t1}")
-    if not (math.isfinite(v) and v > 0):
-        raise ValueError(f"alphabet variance must be finite and positive, got {v}")
+    check_alphabet_variance(v)
     return 2.0 * t1 / (2.0 * v * (1.0 - math.sqrt(2.0 * t1)) ** 2 + t1 + 1.0)
 
 
@@ -178,8 +179,7 @@ def optimal_gaussian_fidelity(v: float) -> OptimalGaussian:
     boundary solution t1 = 1 (bare beam splitter, zero gain) gives
     F = 1/((3 - 2 sqrt(2)) v + 1).
     """
-    if not (math.isfinite(v) and v > 0):
-        raise ValueError(f"alphabet variance must be finite and positive, got {v}")
+    check_alphabet_variance(v)
     if v >= BEAM_SPLITTER_THRESHOLD:
         t1 = 0.5 * (1.0 / (2.0 * v) + 1.0) ** 2
         return OptimalGaussian((4.0 * v + 2.0) / (6.0 * v + 1.0), t1, Regime.FEEDFORWARD)
@@ -201,8 +201,7 @@ def classical_gaussian_alphabet(v: float) -> ClassicalGaussian:
     g = 2v/(1+2v) with F = (1+2v)/(1+4v); derived here, not a quoted value,
     and checked against the integration oracle.
     """
-    if not (math.isfinite(v) and v > 0):
-        raise ValueError(f"alphabet variance must be finite and positive, got {v}")
+    check_alphabet_variance(v)
     return ClassicalGaussian((1.0 + 2.0 * v) / (1.0 + 4.0 * v), 2.0 * v / (1.0 + 2.0 * v))
 
 

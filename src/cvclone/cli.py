@@ -157,8 +157,6 @@ def cmd_optimize(args) -> int:
     v = _merge(args, "V")
     if v is None:
         raise UsageError("optimize requires --V")
-    if v <= 0:
-        raise UsageError("V must be positive")
     result = optimize.optimize_t1(v)
     t1 = result.params.t1
     report = {
@@ -252,8 +250,6 @@ def cmd_mc(args) -> int:
         alphabet = KnownPhase()
         label = {"machine": "phase-known"}
     else:
-        if v <= 0:
-            raise UsageError("V must be positive")
         cfg = gaussian_machine(optimal_gaussian_fidelity(v).t1, eta, vis)
         alphabet = SymmetricGaussian(v)
         label = {"machine": "gaussian-optimal", "V": v}

@@ -19,8 +19,8 @@ quadratically.
 All statistics are exact consequences of the linear input-output relations.
 One coefficient routine, ``_machine_map``, writes them down for a stack of
 machines (one row of ``MACHINE_COLUMNS`` each); the analytic clone
-statistics, the ensemble output state and the per-shot trajectory model of
-the Monte Carlo engine all read from it.  ``heisenberg_clone_stats`` is that
+statistics, the ensemble output state and the Monte Carlo engine's per-shot
+model (``_shot_model``) all read from it.  ``heisenberg_clone_stats`` is that
 routine on one ``ClonerConfig``, and ``batched_clone_stats`` on many
 machines at once, with the same bits per machine.  ``CloningCircuit``, which
 runs the machine over the Gaussian primitives, and
@@ -380,62 +380,27 @@ def clone_output_state(
     return GaussianState(2, np.concatenate([mean_clone, mean_clone]), (cov + cov.T) / 2.0)
 
 
-@dataclass(frozen=True)
-class _TrajectoryModel:
-    """Affine per-shot model extracted from the circuit.
+def _shot_model(cfg: ClonerConfig, elec_noise: float = 0.0) -> tuple[np.ndarray, int]:
+    """Per-shot model of the Monte Carlo engine, read from ``_machine_map``.
 
-    For a coherent input with mean (xbar, pbar), the measured X outcome is
-    N(out_coeff_x * xbar, out_var_x); after conditioning and feedforward the
-    clone mean is ax*xbar + bx*X + ex*n_el (both clones share it), and the
-    conditional clone covariance cond_var is outcome independent.
+    For a coherent input with quadrature means mean_q, q = x, p, outcome q is
+    c * mean_q + sd * z; after conditioning on it and feeding it forward the
+    clone mean is a * mean_q + b * outcome + e * n_el (both clones share it),
+    and the conditional clone variance cond_var is outcome independent.
+    Returns the (6, 2) rows (c, sd, a, b, e, cond_var) over (x, p) and
+    the number of measured quadratures: 2, or 1 at t2 = 1, where p is not
+    measured and its clone mean is a * mean_p alone.
     """
-
-    out_coeff_x: float
-    out_var_x: float
-    out_coeff_p: float
-    out_var_p: float
-    ax: float
-    bx: float
-    ex: float
-    ap: float
-    bp: float
-    ep: float
-    cond_var: np.ndarray  # marginal (x, p) covariance diagonal of one clone
-    has_p_outcome: bool
-    elec_noise: float
-
-
-def _trajectory_model(cfg: ClonerConfig, elec_noise: float = 0.0) -> _TrajectoryModel:
     t, m, g, var = _machine_map(np.array([cfg.as_row()]), elec_noise)
     mv = m * var
-    (var_xm, var_pm), (cov_tx, cov_tp), (var_tx, var_tp) = (
-        _dot(a, b)[0].tolist() for a, b in ((m, mv), (t, mv), (t, t * var))
-    )
-    (tx0, tp0), (mx0, mp0) = t[0, :, 0].tolist(), m[0, :, 0].tolist()
-    g_x, g_p = g[0].tolist()
-    vx3, vp3 = cfg.anc3
-    has_p = cfg.t2 < 1.0
-
-    kx = cov_tx / var_xm if var_xm > 0 else 0.0
-    kp = (cov_tp / var_pm if var_pm > 0 else 0.0) if has_p else 0.0
-    cond_tx = var_tx - kx * cov_tx
-    cond_tp = var_tp - kp * cov_tp if has_p else var_tp
-
-    return _TrajectoryModel(
-        out_coeff_x=mx0,
-        out_var_x=var_xm,
-        out_coeff_p=mp0,
-        out_var_p=var_pm,
-        ax=(tx0 - kx * mx0) / SQRT2,
-        bx=(kx + g_x) / SQRT2,
-        ex=g_x / SQRT2,
-        ap=(tp0 - kp * mp0) / SQRT2,
-        bp=(kp + g_p) / SQRT2,
-        ep=g_p / SQRT2,
-        cond_var=np.array([(cond_tx + vx3) / 2.0, (cond_tp + vp3) / 2.0]),
-        has_p_outcome=has_p,
-        elec_noise=elec_noise,
-    )
+    # var_m > 0, as each outcome carries vacuum noise; at t2 = 1 the p row's
+    # "outcome" is vacuum alone, uncorrelated with the beam, so its k is 0
+    var_m, cov, var_t = (_dot(a, b)[0] for a, b in ((m, mv), (t, mv), (t, t * var)))
+    k = cov / var_m
+    t0, m0, g = t[0, :, 0], m[0, :, 0], g[0]
+    rows = [m0, np.sqrt(var_m), (t0 - k * m0) / SQRT2, (k + g) / SQRT2, g / SQRT2,
+            (var_t - k * cov + cfg.anc3) / 2.0]
+    return np.array(rows), 2 if cfg.t2 < 1.0 else 1
 
 
 # the feedforward detectors: x on mode 1, then p on the arm that becomes mode 1

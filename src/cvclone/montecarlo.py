@@ -16,11 +16,11 @@ alphabet draws, then the X outcome, its electronic noise, the P outcome,
 its noise.  Earlier versions seeded one generator per trajectory with
 (seed, i), so a given seed now yields different samples.
 
-Because the measurement conditioning is Gaussian, the per-shot clone
-covariance is outcome independent; the per-shot state is fully described by
-its realised mean plus that fixed covariance, which is what the trajectory
-records hold.  The conditional mean is shared by both clones (the output
-splitter ancilla has zero mean), so one mean vector per shot describes both.
+The per-shot model (``cloner._shot_model``) is one affine map per measured
+quadrature q (x, and p unless t2 = 1): outcome c_q mean_q + sd_q z, clone
+mean a_q mean_q + b_q outcome + e_q n_el, and a clone variance cond_var_q
+that Gaussian conditioning makes outcome independent.  The mean is shared
+by both clones (the output splitter ancilla has zero mean).
 
 Aggregation streams: each block reduces its trajectories to a few dozen
 sums as soon as it is simulated, and the blocks merge in block order, so
@@ -38,13 +38,12 @@ import numpy as np
 
 from .benchmarks import (
     Alphabet,
-    FlatLimit,
     KnownPhase,
     Single,
     SymmetricGaussian,
     average_fidelity,
 )
-from .cloner import ClonerConfig, _trajectory_model, heisenberg_clone_stats
+from .cloner import ClonerConfig, _shot_model, heisenberg_clone_stats
 
 # representative amplitudes for the known-phase alphabet; the statistics are
 # amplitude independent at unit gain, and the grid doubles as the
@@ -122,8 +121,6 @@ def _fill_input_means(alphabet: Alphabet, z: np.ndarray, start: int, out: np.nda
         grid = np.asarray(KNOWN_PHASE_AMPLITUDES)
         out[:, 0] = grid[(start + np.arange(len(out))) % len(grid)]
         out[:, 1] = 0.0
-    else:
-        raise ValueError(f"alphabet {alphabet!r} cannot be sampled")
 
 
 def _block_normals(seed: int, block: int, k: int, rows: int = _CHUNK) -> np.ndarray:
@@ -255,29 +252,28 @@ def _merge_in_order(block_sums) -> list:
 def _simulate_block(model, alphabet: Alphabet, elec_noise: float, seed: int, block: int,
                     rows: int = _CHUNK) -> tuple[np.ndarray, tuple, np.ndarray]:
     """Input means, measured outcomes and clone means of the first ``rows``
-    trajectories of ``block``, from its one bulk normal draw.  The outcomes
-    are the X outcome column, and the P one when P is measured."""
+    trajectories of ``block``, from its one bulk normal draw.  ``model`` is
+    ``cloner._shot_model``'s; the outcomes are one column per measured
+    quadrature, x first."""
+    coeffs, measured = model
+    c, sd, a, b, e, _ = coeffs.tolist()
     n_alpha = _alphabet_draws(alphabet)
     has_el = elec_noise > 0.0
-    k = n_alpha + (1 + int(has_el)) * (1 + int(model.has_p_outcome))
-    z = _block_normals(seed, block, k, rows)
+    z = _block_normals(seed, block, n_alpha + (1 + int(has_el)) * measured, rows)
     means = np.empty((rows, 2))
     _fill_input_means(alphabet, z[:, :n_alpha], block * _CHUNK, means)
     clone = np.empty_like(means)
+    outcomes = ()
     col = n_alpha
-    x_m = model.out_coeff_x * means[:, 0] + math.sqrt(model.out_var_x) * z[:, col]
-    col += 1
-    x_el = math.sqrt(elec_noise) * z[:, col] if has_el else 0.0
-    col += int(has_el)
-    clone[:, 0] = model.ax * means[:, 0] + model.bx * x_m + model.ex * x_el
-    if model.has_p_outcome:
-        p_m = model.out_coeff_p * means[:, 1] + math.sqrt(model.out_var_p) * z[:, col]
-        col += 1
-        p_el = math.sqrt(elec_noise) * z[:, col] if has_el else 0.0
-        clone[:, 1] = model.ap * means[:, 1] + model.bp * p_m + model.ep * p_el
-        return means, (x_m, p_m), clone
-    clone[:, 1] = model.ap * means[:, 1]
-    return means, (x_m,), clone
+    for q in range(measured):
+        out = c[q] * means[:, q] + sd[q] * z[:, col]
+        el = math.sqrt(elec_noise) * z[:, col + 1] if has_el else 0.0
+        col += 1 + int(has_el)
+        clone[:, q] = a[q] * means[:, q] + b[q] * out + e[q] * el
+        outcomes += (out,)
+    if measured == 1:
+        clone[:, 1] = a[1] * means[:, 1]
+    return means, outcomes, clone
 
 
 def run_batch(
@@ -289,8 +285,8 @@ def run_batch(
 ) -> TrajectoryBatch:
     """Simulate ``n_traj`` trajectories and aggregate the clone statistics.
 
-    The per-shot model is the affine form extracted from the circuit
-    (outcome sampling, Gaussian conditioning, feedforward displacement).
+    The per-shot model is ``cloner._shot_model``'s map per measured
+    quadrature, read from the machine core (see the module docstring).
     Blocks of 4096 trajectories each take one bulk normal draw keyed by
     (seed, block), simulate their rows (``_simulate_block``) and reduce them
     at once to a few dozen sums, which are merged in block order; no
@@ -299,14 +295,13 @@ def run_batch(
     the run time.  ``seed`` must be non-negative and ``elec_noise`` finite
     and non-negative.
     """
-    if isinstance(alphabet, FlatLimit):
-        raise ValueError("the flat limit is an analytic limit and cannot be sampled")
     if not 1 <= n_traj <= MAX_TRAJECTORIES:
         raise ValueError(f"n_traj must lie in [1, {MAX_TRAJECTORIES}], got {n_traj}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
 
-    model = _trajectory_model(cfg, elec_noise)
+    model = coeffs, measured = _shot_model(cfg, elec_noise)
+    cond_var = coeffs[5]
 
     def reduce(block: int) -> list:
         rows = min(_CHUNK, n_traj - block * _CHUNK)
@@ -315,7 +310,7 @@ def run_batch(
         for q in (0, 1):
             fit = _fit_sums(means[:, q], clone[:, q])
             sums += [fit, _mean_sums(clone[:, q]) if fit[1][0] < _NO_SIGNAL else None]
-        return sums + [_mean_sums(_shot_fidelity(means, clone, model.cond_var))]
+        return sums + [_mean_sums(_shot_fidelity(means, clone, cond_var))]
 
     fits = _merge_in_order(map(reduce, range(-(-n_traj // _CHUNK))))
 
@@ -326,10 +321,10 @@ def run_batch(
         seed=seed,
         elec_noise=elec_noise,
         input_means=np.empty((0, 2)),
-        outcomes=np.empty((0, 1 + int(model.has_p_outcome))),
+        outcomes=np.empty((0, measured)),
         clone_means=np.empty((0, 2)),
-        clone_cov_diag=model.cond_var.copy(),
-        **_statistics(fits, n_traj, model.cond_var),
+        clone_cov_diag=cond_var,
+        **_statistics(fits, n_traj, cond_var),
     )
 
 

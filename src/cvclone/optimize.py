@@ -135,8 +135,7 @@ def optimize_t1(v: float, grid_points: int = 64) -> OptimizationResult:
     alphabets.  The certificate reports gaps against the piecewise closed
     form of the optimum.
     """
-    if not (math.isfinite(v) and v > 0):
-        raise ValueError(f"alphabet variance must be finite and positive, got {v}")
+    benchmarks.check_alphabet_variance(v)
 
     def objective(t1):
         # the grid arrives as one array but is scanned point by point:
@@ -264,8 +263,7 @@ def heterodyne_reprepare_fidelity(gain, v: float):
     them.  An array of gains gives an array of fidelities; it sums the 40
     rows and doubles, which agrees with the one-gain value to rounding.
     """
-    if not (math.isfinite(v) and v > 0):
-        raise ValueError(f"alphabet variance must be finite and positive, got {v}")
+    benchmarks.check_alphabet_variance(v)
     xbar = math.sqrt(2.0 * 4.0 * v) * _GH_NODES[:_GH_HALF, None]
     if not isinstance(gain, np.ndarray):
         half = _heterodyne_half_integrand(gain, xbar)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cvclone.benchmarks import (
     BEAM_SPLITTER_THRESHOLD,
-    FlatLimit,
     KnownPhase,
     Regime,
     Single,
@@ -42,7 +41,6 @@ def test_average_fidelity_measured_operating_point():
 def test_average_fidelity_flat_limit_of_unity_gain_machine():
     stats = CloneStatistics(1.0, 1.0, 2.0, 2.0)
     assert average_fidelity(stats, SymmetricGaussian(1e6)) == pytest.approx(2 / 3, abs=1e-9)
-    assert average_fidelity(stats, FlatLimit()) == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_average_fidelity_known_phase():
@@ -50,8 +48,6 @@ def test_average_fidelity_known_phase():
     assert average_fidelity(stats, KnownPhase()) == pytest.approx(2 / math.sqrt(5))
     with pytest.raises(ValueError):
         average_fidelity(CloneStatistics(0.9, 0.5, 1.5, 1.0), KnownPhase())
-    with pytest.raises(ValueError):
-        average_fidelity(CloneStatistics(1.0, 0.5, 1.5, 1.0), FlatLimit())
 
 
 def test_average_fidelity_single_state():

@@ -4,7 +4,12 @@ import math
 import pytest
 
 from cvclone import cli
-from cvclone.benchmarks import SymmetricGaussian, average_fidelity, optimal_gaussian_fidelity
+from cvclone.benchmarks import (
+    MAX_ALPHABET_VARIANCE,
+    SymmetricGaussian,
+    average_fidelity,
+    optimal_gaussian_fidelity,
+)
 from cvclone.cloner import ClonerConfig, heisenberg_clone_stats
 
 
@@ -73,6 +78,37 @@ def test_sweep_rejects_non_finite_range_without_warnings(capsys, flag, vmin, vma
     code, out, err = run_cli(capsys, "sweep", "--vmin", vmin, "--vmax", vmax, "--steps", "3")
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag} must be finite")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--vmin", "0.5", "--vmax", "1e308", "--steps", "3"],
+        ["sweep", "--vmin", "0.5", "--vmax", "1e308", "--steps", "3", "--format", "json"],
+        ["optimize", "--V", "1e308"],
+        ["optimize", "--V", repr(math.nextafter(MAX_ALPHABET_VARIANCE, math.inf))],
+        ["mc", "--V", "1e308", "--trajectories", "10"],
+    ],
+    ids=["sweep-csv", "sweep-json", "optimize", "optimize-just-above", "mc"],
+)
+def test_alphabet_variance_at_which_the_closed_forms_overflow_exits_2(capsys, argv):
+    # 6 V overflows there: unchecked, the sweep prints F = 0 and nan, the
+    # JSON sweep fails on the nan and optimize reports a non-finite gap
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: alphabet variance must be finite and positive, and at most")
+
+
+@pytest.mark.filterwarnings("error")
+def test_largest_accepted_alphabet_variance(capsys):
+    assert math.isfinite(6.0 * MAX_ALPHABET_VARIANCE)
+    code, out, _ = run_cli(capsys, "optimize", "--V", repr(MAX_ALPHABET_VARIANCE))
+    assert code == 0
+    report = json.loads(out)
+    assert report["V"] == MAX_ALPHABET_VARIANCE
+    assert report["regime"] == "feedforward"
+    assert all(math.isfinite(gap) for gap in report["certificate"].values())
 
 
 @pytest.mark.parametrize("flag", ["eta", "visibility"])

@@ -10,6 +10,7 @@ from cvclone.cloner import (
     MACHINE_COLUMNS,
     ClonerConfig,
     CloningCircuit,
+    _shot_model,
     batched_clone_stats,
     build_circuit,
     check_fraction,
@@ -136,6 +137,38 @@ def test_referred_noise_uncertainty_product(t1, t2, gx, gp, l1, c1, l3, c3, eta,
     )
     dn_x, dn_p = heisenberg_clone_stats(cfg).referred_noise()
     assert dn_x * dn_p >= 1.0 - 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(0.05, 1.0), st.one_of(st.floats(0.1, 0.95), st.just(1.0)),
+    st.floats(-2.5, 2.5), st.floats(-2.5, 2.5),
+    st.floats(-1.2, 1.2), st.floats(1.0, 3.0),
+    st.floats(-1.2, 1.2), st.floats(1.0, 3.0),
+    st.floats(0.85, 1.0), st.floats(0.9, 1.0),
+    st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+)
+def test_shot_model_reproduces_clone_stats(t1, t2, gx, gp, l1, c1, l3, c3, eta, vis, elec):
+    vx1, vx3 = math.exp(l1), math.exp(l3)
+    cfg = ClonerConfig(
+        t1=t1, t2=t2, g_x=gx, g_p=gp,
+        anc1=(vx1, c1 / vx1), anc3=(vx3, c3 / vx3),
+        eta_ff=eta, visibility=vis,
+    )
+    stats = heisenberg_clone_stats(cfg, elec)
+    (c, sd, a, b, e, cond_var), measured = _shot_model(cfg, elec)
+    assert measured == (2 if t2 < 1.0 else 1)
+    for q, lam, sigma in ((0, stats.lambda_x, stats.sigma_x), (1, stats.lambda_p, stats.sigma_p)):
+        # averaged over outcomes: lambda = a + b c and
+        # sigma = cond_var + b^2 sd^2 + e^2 elec_noise; an unmeasured
+        # quadrature keeps a and cond_var alone
+        lam_terms, sigma_terms = [a[q]], [cond_var[q]]
+        if q < measured:
+            lam_terms.append(b[q] * c[q])
+            sigma_terms += [b[q] ** 2 * sd[q] ** 2, e[q] ** 2 * elec]
+        # relative to the size of the terms, which bounds their rounding
+        for terms, want in ((lam_terms, lam), (sigma_terms, sigma)):
+            assert abs(sum(terms) - want) <= 1e-12 * sum(map(abs, terms))
 
 
 def test_phase_known_stats_vacuum():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cvclone import montecarlo
 from cvclone.benchmarks import (
-    FlatLimit,
     KnownPhase,
     Single,
     SymmetricGaussian,
@@ -17,7 +16,7 @@ from cvclone.benchmarks import (
 )
 from cvclone.cloner import (
     ClonerConfig,
-    _trajectory_model,
+    _shot_model,
     build_circuit,
     gaussian_machine,
     heisenberg_clone_stats,
@@ -41,7 +40,7 @@ SQ85 = (math.sqrt(8 / 5), math.sqrt(5 / 8))
 def _records(cfg, alphabet, n, seed, elec_noise=0.0):
     """Input means, outcomes and clone means of trajectories 0..n-1, block
     by block as run_batch simulates them, and the conditional variances."""
-    model = _trajectory_model(cfg, elec_noise)
+    model = _shot_model(cfg, elec_noise)
     blocks = [
         _simulate_block(model, alphabet, elec_noise, seed, b, min(4096, n - 4096 * b))
         for b in range(-(-n // 4096))
@@ -49,15 +48,15 @@ def _records(cfg, alphabet, n, seed, elec_noise=0.0):
     means = np.concatenate([block[0] for block in blocks])
     outcomes = np.concatenate([np.column_stack(block[1]) for block in blocks])
     clone = np.concatenate([block[2] for block in blocks])
-    return means, outcomes, clone, model.cond_var
+    return means, outcomes, clone, model[0][5]
 
 
 def test_run_batch_validates_arguments():
     cfg = gaussian_machine(0.5)
     with pytest.raises(ValueError):
         run_batch(cfg, SymmetricGaussian(1.0), 0, seed=1)
-    with pytest.raises(ValueError):
-        run_batch(cfg, FlatLimit(), 100, seed=1)
+    with pytest.raises(ValueError, match="cannot be sampled"):
+        run_batch(cfg, object(), 100, seed=1)
 
 
 def test_run_batch_bounds_trajectory_count_before_allocating(monkeypatch):
@@ -386,8 +385,6 @@ def test_reproduce_figure4_at_measured_gain():
     assert 0.885 <= report["f_imperfect"] <= 0.895
 
 
-def test_trajectory_model_draw_layout():
-    model = _trajectory_model(phase_known_machine())
-    assert not model.has_p_outcome
-    model = _trajectory_model(gaussian_machine(0.5))
-    assert model.has_p_outcome
+def test_shot_model_draw_layout():
+    assert _shot_model(phase_known_machine())[1] == 1
+    assert _shot_model(gaussian_machine(0.5))[1] == 2
