@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -66,9 +65,11 @@ KNOWN_PHASE_BENCHMARK_NOTE = (
 )
 
 
-# the largest V with 6 V finite (max / 6 itself rounds up past it); the
-# closed forms overflow above it
-MAX_ALPHABET_VARIANCE = math.nextafter(sys.float_info.max / 6.0, 0.0)
+# the widest alphabet whose results stay right: the optimal gain
+# 1/sqrt(2 t1) rounds to 1 + a few ulp, and the gain penalty 4V(1 - lambda)^2
+# multiplies that rounding by V.  At 1e15 optimize_t1's certificate gap is
+# about 2e-11, ten times inside verify's 1e-9; at 1e18 it is 2e-8.
+MAX_ALPHABET_VARIANCE = 1e15
 
 
 def check_alphabet_variance(v) -> None:

@@ -5,8 +5,8 @@ library computes.
 Exit codes: 0 success, 1 verification or z-score failure, 2 usage error,
 3 I/O error.  Every command accepts ``--config FILE`` (a JSON object whose
 keys are the long flag names without the leading dashes, each value of its
-flag's type); explicit flags override file values.  ``CVCLONE_SEED``
-provides the default Monte Carlo seed.
+flag's type); a file value replaces its flag's default, and an explicit
+flag overrides both.  ``CVCLONE_SEED`` provides the default Monte Carlo seed.
 """
 
 from __future__ import annotations
@@ -51,11 +51,10 @@ class UsageError(Exception):
     pass
 
 
-def _load_config(path: str | None, flags: list[argparse.Action], prog: str) -> dict:
-    """The config file's values, each checked against the type of its flag;
-    a key that names no flag of ``prog`` is an error."""
-    if not path:
-        return {}
+def _load_config(path: str, command: argparse.ArgumentParser) -> dict:
+    """The config file's values keyed by flag destination, each checked
+    against the type of its flag; a key that names no flag of ``command`` is
+    an error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -66,11 +65,12 @@ def _load_config(path: str | None, flags: list[argparse.Action], prog: str) -> d
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
     # -h and --config act while parsing, so a file can set neither
-    actions = {a.dest: a for a in flags if a.dest not in ("help", "config")}
+    actions = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
+    values = {}
     for key, value in data.items():
         action = actions.get(key.replace("-", "_"))
         if action is None:
-            raise UsageError(f"config key {key!r} names no flag of {prog}")
+            raise UsageError(f"config key {key!r} names no flag of {command.prog}")
         if action.const is True:
             ok, want = type(value) is bool, "true or false"
         elif action.choices is not None:
@@ -83,27 +83,16 @@ def _load_config(path: str | None, flags: list[argparse.Action], prog: str) -> d
             ok, want = type(value) is str, "a string"
         if not ok:
             raise UsageError(f"config key {key!r} must be {want}, got {json.dumps(value)}")
-        data[key] = float(value) if action.type is float else value
-    return data
-
-
-def _merge(args: argparse.Namespace, key: str, default=None):
-    """Flag value if given, else config-file value, else the default."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    cfg = getattr(args, "_config_values", {})
-    if key in cfg:
-        return cfg[key]
-    return default
+        values[action.dest] = float(value) if action.type is float else value
+    return values
 
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path in (None, "-"):
+def _emit(text: str, out_path: str) -> None:
+    if out_path == "-":
         sys.stdout.write(text)
         return
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -114,9 +103,7 @@ def _emit(text: str, out_path: str | None) -> None:
 # sweep
 
 def cmd_sweep(args) -> int:
-    vmin = _merge(args, "vmin")
-    vmax = _merge(args, "vmax")
-    steps = _merge(args, "steps")
+    vmin, vmax, steps = args.vmin, args.vmax, args.steps
     if vmin is None or vmax is None or steps is None:
         raise UsageError("sweep requires --vmin, --vmax and --steps")
     for name, value in (("vmin", vmin), ("vmax", vmax)):
@@ -124,29 +111,28 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"{name} must be finite, got {value}")
     if vmin <= 0 or vmax <= vmin or steps < 2:
         raise UsageError("need 0 < vmin < vmax and steps >= 2")
-    eta = check_fraction("eta", _merge(args, "eta", 1.0))
-    vis = _merge(args, "visibility", 1.0)
+    eta = check_fraction("eta", args.eta)
     fixed = None
-    if _merge(args, "mode", "optimal") == "fixed":
-        t1 = _merge(args, "t1")
+    if args.mode == "fixed":
+        t1 = args.t1
         if t1 is None:
             raise UsageError("fixed mode requires --t1")
         check_fraction("t1", t1)
-        gx = _merge(args, "gx", matched_gain(t1))
-        fixed = (t1, gx, _merge(args, "gp", gx))
+        gx = matched_gain(t1) if args.gx is None else args.gx
+        fixed = (t1, gx, gx if args.gp is None else args.gp)
         for name, value in zip(("gx", "gp"), fixed[1:]):
             if not math.isfinite(value):
                 raise UsageError(f"{name} must be finite, got {value}")
 
-    rows = experiments.sweep_rows(np.linspace(vmin, vmax, steps), eta, vis, fixed)
-    if _merge(args, "format", "csv") == "csv":
+    rows = experiments.sweep_rows(np.linspace(vmin, vmax, steps), eta, args.visibility, fixed)
+    if args.format == "csv":
         lines = [",".join(name for name, _ in SWEEP_COLUMNS)]
         lines += [",".join(_fmt(row[key]) for _, key in SWEEP_COLUMNS) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
         table = [{name: row[key] for name, key in SWEEP_COLUMNS} for row in rows]
         text = json.dumps(table, indent=2, allow_nan=False) + "\n"
-    _emit(text, _merge(args, "out", "-"))
+    _emit(text, args.out)
     return 0
 
 
@@ -154,7 +140,7 @@ def cmd_sweep(args) -> int:
 # optimize
 
 def cmd_optimize(args) -> int:
-    v = _merge(args, "V")
+    v = args.V
     if v is None:
         raise UsageError("optimize requires --V")
     result = optimize.optimize_t1(v)
@@ -177,13 +163,11 @@ def cmd_optimize(args) -> int:
 # phase-known
 
 def cmd_phase_known(args) -> int:
-    ancilla = _merge(args, "ancilla", "vacuum")
-    if ancilla == "squeezed":
-        p1_var = _merge(args, "p1-var", 1e-6)
-        x3_var = _merge(args, "x3-var", math.sqrt(8.0 / 5.0))
-    else:
-        p1_var = _merge(args, "p1-var", 1.0)
-        x3_var = _merge(args, "x3-var", 1.0)
+    ancilla = args.ancilla
+    # the variances' defaults depend on the ancilla
+    p1_var, x3_var = (1e-6, math.sqrt(8.0 / 5.0)) if ancilla == "squeezed" else (1.0, 1.0)
+    p1_var = p1_var if args.p1_var is None else args.p1_var
+    x3_var = x3_var if args.x3_var is None else args.x3_var
     for name, value in (("p1-var", p1_var), ("x3-var", x3_var)):
         if not 0.0 < value < math.inf:
             raise UsageError(f"{name} must be finite and positive, got {value}")
@@ -223,25 +207,22 @@ def cmd_phase_known(args) -> int:
 # mc
 
 def cmd_mc(args) -> int:
-    v = _merge(args, "V")
-    phase_known = _merge(args, "phase-known", False)
+    v, phase_known, n_traj = args.V, args.phase_known, args.trajectories
     if (v is None) == (not phase_known):
         raise UsageError("mc requires exactly one of --V or --phase-known")
-    n_traj = _merge(args, "trajectories")
     if n_traj is None:
         raise UsageError("mc requires --trajectories")
     if n_traj < 1:
         raise UsageError("trajectories must be positive")
-    seed = _merge(args, "seed")
+    seed = args.seed
     if seed is None:
         env = os.environ.get("CVCLONE_SEED", str(DEFAULT_SEED))
         try:
             seed = int(env)
         except ValueError:
             raise UsageError(f"CVCLONE_SEED must be an integer, got {env!r}") from None
-    eta = check_fraction("eta", _merge(args, "eta", 1.0))
-    vis = _merge(args, "visibility", 1.0)
-    elec = _merge(args, "elec-noise", 0.0)
+    eta = check_fraction("eta", args.eta)
+    vis, elec = args.visibility, args.elec_noise
     if not (math.isfinite(elec) and elec >= 0):
         raise UsageError("elec-noise must be finite and non-negative")
 
@@ -298,38 +279,38 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON file with default flag values")
-        p.set_defaults(func=func, _flags=p._actions, _prog=p.prog)
+        p.set_defaults(func=func, parser=p)
         return p
 
     p = command("sweep", cmd_sweep, "fidelity-vs-V table (CSV or JSON)")
     p.add_argument("--vmin", type=float)
     p.add_argument("--vmax", type=float)
     p.add_argument("--steps", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--visibility", type=float)
-    p.add_argument("--mode", choices=["optimal", "fixed"])
+    p.add_argument("--eta", type=float, default=1.0)
+    p.add_argument("--visibility", type=float, default=1.0)
+    p.add_argument("--mode", choices=["optimal", "fixed"], default="optimal")
     p.add_argument("--t1", type=float)
     p.add_argument("--gx", type=float)
     p.add_argument("--gp", type=float)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json"])
+    p.add_argument("--out", default="-")
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = command("optimize", cmd_optimize, "optimal machine for a Gaussian alphabet")
     p.add_argument("--V", type=float)
 
     p = command("phase-known", cmd_phase_known, "phase-known machine report")
-    p.add_argument("--ancilla", choices=["vacuum", "squeezed"])
-    p.add_argument("--p1-var", type=float, dest="p1_var")
-    p.add_argument("--x3-var", type=float, dest="x3_var")
+    p.add_argument("--ancilla", choices=["vacuum", "squeezed"], default="vacuum")
+    p.add_argument("--p1-var", type=float)
+    p.add_argument("--x3-var", type=float)
 
     p = command("mc", cmd_mc, "Monte Carlo run with z-score self-check")
     p.add_argument("--V", type=float)
-    p.add_argument("--phase-known", action="store_const", const=True, dest="phase_known")
+    p.add_argument("--phase-known", action="store_true")
     p.add_argument("--trajectories", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--visibility", type=float)
-    p.add_argument("--elec-noise", type=float, dest="elec_noise")
+    p.add_argument("--eta", type=float, default=1.0)
+    p.add_argument("--visibility", type=float, default=1.0)
+    p.add_argument("--elec-noise", type=float, default=0.0)
 
     command("verify", cmd_verify, "closed-form identity suite")
 
@@ -340,7 +321,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._config_values = _load_config(args.config, args._flags, args._prog)
+        if args.config:
+            # file values replace the built-in defaults; explicit flags win
+            args.parser.set_defaults(**_load_config(args.config, args.parser))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -19,12 +19,12 @@ quadratically.
 All statistics are exact consequences of the linear input-output relations.
 One coefficient routine, ``_machine_map``, writes them down for a stack of
 machines (one row of ``MACHINE_COLUMNS`` each); the analytic clone
-statistics, the ensemble output state and the Monte Carlo engine's per-shot
-model (``_shot_model``) all read from it.  ``heisenberg_clone_stats`` is that
-routine on one ``ClonerConfig``, and ``batched_clone_stats`` on many
-machines at once, with the same bits per machine.  ``CloningCircuit``, which
-runs the machine over the Gaussian primitives, and
-``phase_known_clone_stats`` are independent oracles for it.
+statistics and the Monte Carlo engine's per-shot model (``_shot_model``)
+read from it, and the ensemble output state reads the statistics.
+``heisenberg_clone_stats`` is that routine on one ``ClonerConfig``, and
+``batched_clone_stats`` on many machines at once, with the same bits per
+machine.  ``CloningCircuit``, which runs the machine over the Gaussian
+primitives, and ``phase_known_clone_stats`` are independent oracles for it.
 """
 
 from __future__ import annotations
@@ -91,20 +91,17 @@ def check_fraction(name: str, value, *, allow_zero: bool = False):
     and infinities fail too.  On an array every entry must lie there, and
     the message names the first that does not."""
     ok = (value >= 0.0 if allow_zero else value > 0.0) & (value <= 1.0)
-    if ok is not True:
-        interval = "[0, 1]" if allow_zero else "(0, 1]"
-        _check(ok, value, f"{name} must lie in {interval}, got {{}}")
+    interval = "[0, 1]" if allow_zero else "(0, 1]"
+    _check(ok, value, f"{name} must lie in {interval}, got {{}}")
     return value
 
 
 def _check_ancilla(name: str, vx, vp) -> None:
     ok = (0.0 < vx) & (vx < math.inf) & (0.0 < vp) & (vp < math.inf)
-    if ok is not True:
-        _check(ok, None, f"{name} variances must be finite and positive")
+    _check(ok, None, f"{name} variances must be finite and positive")
     product = vx * vp
     ok = product >= 1.0 - 1e-9
-    if ok is not True:
-        _check(ok, product, f"{name} variance product {{:.6g}} violates uncertainty")
+    _check(ok, product, f"{name} variance product {{:.6g}} violates uncertainty")
 
 
 def _check_machines(t1, t2, g_x, g_p, vx1, vp1, vx3, vp3, eta_ff, visibility) -> None:
@@ -168,10 +165,6 @@ class ClonerConfig:
                 self.eta_ff, self.visibility)
 
 
-def _any(mask) -> bool:
-    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
-
-
 @dataclass(frozen=True)
 class CloneStatistics:
     """Per-clone mean gains and total quadrature variances (SNU).
@@ -187,8 +180,11 @@ class CloneStatistics:
     sigma_p: float
 
     def __post_init__(self):
-        if _any((self.sigma_x <= 0) | (self.sigma_p <= 0)):
-            raise ValueError("clone variances must be positive")
+        lx, lp, sx, sp = self.lambda_x, self.lambda_p, self.sigma_x, self.sigma_p
+        # comparisons, which NaN fails too: np.isfinite costs 8 us on floats
+        finite = (abs(lx) < math.inf) & (abs(lp) < math.inf) & (sx < math.inf) & (sp < math.inf)
+        _check(finite, None, "clone gains and variances must be finite")
+        _check((sx > 0) & (sp > 0), None, "clone variances must be positive")
 
     def machine(self, i: int) -> CloneStatistics:
         """Machine ``i``'s statistics, as floats, from arrays of them."""
@@ -199,7 +195,7 @@ class CloneStatistics:
 
     def referred_noise(self) -> tuple[float, float]:
         """Noise variances referred to the input, (sigma - lambda^2)/lambda^2."""
-        if _any((self.lambda_x == 0) | (self.lambda_p == 0)):
+        if np.any((self.lambda_x == 0) | (self.lambda_p == 0)):
             raise ValueError("referred noise undefined at zero gain")
         lx2, lp2 = self.lambda_x * self.lambda_x, self.lambda_p * self.lambda_p
         return (self.sigma_x - lx2) / lx2, (self.sigma_p - lp2) / lp2
@@ -296,9 +292,11 @@ def _machine_map(machines: np.ndarray, elec_noise: float):
 def _clone_stats(machines: np.ndarray, elec_noise: float) -> tuple[np.ndarray, np.ndarray]:
     """Gains and variances, each (n, 2) over (x, p), of a stack of machines."""
     t, m, g, var = _machine_map(machines, elec_noise)
-    c = t + g[..., None] * m
-    lam = c[..., 0] / SQRT2
-    sigma = (_dot(c, c * var) + g * g * elec_noise) / 2.0 + machines[:, 6:8] / 2.0
+    # a huge gain overflows to inf or nan here, which CloneStatistics rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = t + g[..., None] * m
+        lam = c[..., 0] / SQRT2
+        sigma = (_dot(c, c * var) + g * g * elec_noise) / 2.0 + machines[:, 6:8] / 2.0
     return lam, sigma
 
 
@@ -355,28 +353,25 @@ def phase_known_clone_stats(anc1, anc3) -> CloneStatistics:
 def clone_output_state(
     cfg: ClonerConfig, input_state: GaussianState, elec_noise: float = 0.0
 ) -> GaussianState:
-    """Two-mode ensemble-average state of the clones.
+    """Two-mode ensemble-average state of the clones, read from
+    ``heisenberg_clone_stats``.
 
-    Marginals carry the gains and variances of ``heisenberg_clone_stats``;
-    the cross covariance reflects the noise shared through the displaced
-    beam (for each quadrature it equals sigma minus the a3 variance).
+    Averaged over the outcomes the machine is one Gaussian channel: each
+    clone is lambda times the input plus noise of variance sigma - lambda^2
+    per quadrature, independent of the input.  Both clones share that noise
+    but for the output-splitter ancilla, which enters them with opposite
+    signs, so the cross covariance is the clone covariance less anc3.
     Accepts an arbitrary single-mode Gaussian input.
     """
     if input_state.n_modes != 1:
         raise ValueError("cloner expects a single-mode input")
-    t, m, g, var = _machine_map(np.array([cfg.as_row()]), elec_noise)
-    c = (t + g[..., None] * m)[0]
-    vx3, vp3 = cfg.anc3
-
-    lam = np.diag(c[:, 0] / SQRT2)
-    shared = lam @ input_state.cov @ lam.T
-    # noise entering through the displaced beam, excluding the input itself
-    nx, np_ = ((_dot(c[:, 1:], (c * var[0])[:, 1:]) + g[0] * g[0] * elec_noise) / 2.0).tolist()
-
-    same = shared + np.diag([nx + vx3 / 2.0, np_ + vp3 / 2.0])
-    cross = shared + np.diag([nx - vx3 / 2.0, np_ - vp3 / 2.0])
-    cov = np.block([[same, cross], [cross.T, same]])
-    mean_clone = lam @ input_state.mean
+    stats = heisenberg_clone_stats(cfg, elec_noise)
+    gains = np.array([stats.lambda_x, stats.lambda_p])
+    sigma = np.array([stats.sigma_x, stats.sigma_p])
+    same = np.outer(gains, gains) * input_state.cov + np.diag(sigma - gains * gains)
+    cross = same - np.diag(cfg.anc3)
+    cov = np.block([[same, cross], [cross, same]])
+    mean_clone = gains * input_state.mean
     return GaussianState(2, np.concatenate([mean_clone, mean_clone]), (cov + cov.T) / 2.0)
 
 

@@ -196,7 +196,7 @@ def _shift(sums: tuple, d: float) -> tuple:
     )
 
 
-def _merge(a: tuple[float, tuple] | None, b: tuple[float, tuple] | None):
+def _combine(a: tuple[float, tuple] | None, b: tuple[float, tuple] | None):
     if a is None or b is None:
         return None
     (sa, fa), (sb, fb) = a, b
@@ -245,8 +245,8 @@ def _statistics(fits: list, n: int, cond_var) -> dict:
     return out
 
 
-def _merge_in_order(block_sums) -> list:
-    return functools.reduce(lambda acc, new: list(map(_merge, acc, new)), block_sums)
+def _combine_in_order(block_sums) -> list:
+    return functools.reduce(lambda acc, new: list(map(_combine, acc, new)), block_sums)
 
 
 def _simulate_block(model, alphabet: Alphabet, elec_noise: float, seed: int, block: int,
@@ -312,7 +312,7 @@ def run_batch(
             sums += [fit, _mean_sums(clone[:, q]) if fit[1][0] < _NO_SIGNAL else None]
         return sums + [_mean_sums(_shot_fidelity(means, clone, cond_var))]
 
-    fits = _merge_in_order(map(reduce, range(-(-n_traj // _CHUNK))))
+    fits = _combine_in_order(map(reduce, range(-(-n_traj // _CHUNK))))
 
     return TrajectoryBatch(
         config=cfg,

@@ -8,11 +8,10 @@ candidate against the boundary value explicitly.
 An objective takes its whole grid as one array (the squeezed-map search its
 (lambda_p, dn_x) grid as one broadcast pair), and each refinement point as
 a float.  The grid only picks the bracket, and ``np.argmax`` takes the first
-of equal values as the old strict ``>`` scan did, so every reported value
-and every ``iterations`` count comes from the scalar calls alone.  The
-t1 grid is still scanned point by point inside its objective, since the
-benchmark's tracer counts one ``gaussian_alphabet_fidelity`` call per
-evaluation.
+of equal values, so every reported value and every ``iterations`` count
+comes from the scalar calls alone.  The t1 grid is still scanned point by
+point inside its objective, since the benchmark's tracer counts one
+``gaussian_alphabet_fidelity`` call per evaluation.
 
 The classical measure-and-prepare objectives are evaluated by explicit
 Gauss-Hermite integration of the single-shot fidelity.  They deliberately
@@ -42,6 +41,10 @@ _GH_HET_WEIGHTS = (_GH_WEIGHTS[:, None] * _GH_WEIGHTS[None, :]) / math.pi
 _GH_HALF = len(_GH_NODES) // 2
 # gains per buffer in the array route: 16 x 40 x 80 doubles, 410 KB
 _GAINS_PER_CHUNK = 16
+# grid points of the searches (the known-phase one per axis of its map grid)
+_T1_GRID_POINTS = 64
+_PHASE_KNOWN_GRID_POINTS = 64
+_CLASSICAL_GRID_POINTS = 201
 
 __all__ = [
     "OptimizationResult",
@@ -127,7 +130,7 @@ def _grid_then_golden(
     return x, fx, evals + grid_points
 
 
-def optimize_t1(v: float, grid_points: int = 64) -> OptimizationResult:
+def optimize_t1(v: float) -> OptimizationResult:
     """Maximise the Gaussian-alphabet fidelity over the tap transmittance.
 
     Coarse grid on (0, 1] then golden-section refinement, with the t1 = 1
@@ -145,7 +148,7 @@ def optimize_t1(v: float, grid_points: int = 64) -> OptimizationResult:
             return [benchmarks.gaussian_alphabet_fidelity(x, v) for x in t1.tolist()]
         return benchmarks.gaussian_alphabet_fidelity(t1, v)
 
-    t1_num, f_num, evals = _grid_then_golden(objective, 1e-6, 1.0, grid_points, 1e-12)
+    t1_num, f_num, evals = _grid_then_golden(objective, 1e-6, 1.0, _T1_GRID_POINTS, 1e-12)
     f_boundary = objective(1.0)
     evals += 1
     if f_boundary >= f_num:
@@ -172,15 +175,9 @@ def _vacuum_phase_known_fidelity(lambda_p):
     # 0 where no machine realises lambda_p
     t1 = 2.0 * lambda_p**2
     inside = (0.0 < t1) & (t1 < 1.0)
-    if isinstance(t1, np.ndarray):
-        t1, sqrt = np.where(inside, t1, 0.5), np.sqrt
-    elif inside:
-        sqrt = math.sqrt
-    else:
-        return 0.0
-    sigma_x = 1.5 + (1.0 - sqrt(2.0 * t1)) ** 2 / (2.0 * (1.0 - t1))
-    f = 2.0 / sqrt((1.0 + sigma_x) * 2.0)
-    return np.where(inside, f, 0.0) if isinstance(f, np.ndarray) else f
+    t1 = np.where(inside, t1, 0.5)
+    sigma_x = 1.5 + (1.0 - np.sqrt(2.0 * t1)) ** 2 / (2.0 * (1.0 - t1))
+    return np.where(inside, 2.0 / np.sqrt((1.0 + sigma_x) * 2.0), 0.0)
 
 
 def _constrained_map_fidelity(lambda_p, dn_x):
@@ -190,7 +187,7 @@ def _constrained_map_fidelity(lambda_p, dn_x):
     return known_phase_map_fidelity(lambda_p, dn_x, c / dn_x)
 
 
-def optimize_phase_known(constraint: str, grid_points: int = 64) -> OptimizationResult:
+def optimize_phase_known(constraint: str) -> OptimizationResult:
     """Maximise the known-phase fidelity under an ancilla model.
 
     ``"vacuum-ancillas"`` pins all ancillas to vacuum and searches the phase
@@ -199,8 +196,9 @@ def optimize_phase_known(constraint: str, grid_points: int = 64) -> Optimization
     """
     if constraint == "vacuum-ancillas":
         lam, f_num, evals = _grid_then_golden(
-            _vacuum_phase_known_fidelity, 0.05, 0.70, grid_points, 1e-10
+            _vacuum_phase_known_fidelity, 0.05, 0.70, _PHASE_KNOWN_GRID_POINTS, 1e-10
         )
+        f_num = float(f_num)
         f_closed = 2.0 / math.sqrt(5.0)
         return OptimizationResult(
             params={"lambda_p": lam},
@@ -209,7 +207,7 @@ def optimize_phase_known(constraint: str, grid_points: int = 64) -> Optimization
             certificate={"lambda_p": abs(lam - 0.5), "fidelity": abs(f_num - f_closed)},
         )
     if constraint == "squeezed-ancillas":
-        lam, dn_x, f_num, evals = _maximize_squeezed_map(grid_points)
+        lam, dn_x, f_num, evals = _maximize_squeezed_map()
         bound = benchmarks.phase_known_optimal_bound()
         c = max(1.0, ((1.0 - lam) / lam) ** 2)
         dn_p = c / dn_x
@@ -227,14 +225,14 @@ def optimize_phase_known(constraint: str, grid_points: int = 64) -> Optimization
     raise ValueError(f"unknown constraint {constraint!r}")
 
 
-def _maximize_squeezed_map(grid_points: int) -> tuple[float, float, float, int]:
-    lams = np.linspace(0.10, 0.95, grid_points)
-    dns = np.linspace(0.05, 3.0, grid_points)
+def _maximize_squeezed_map() -> tuple[float, float, float, int]:
+    lams = np.linspace(0.10, 0.95, _PHASE_KNOWN_GRID_POINTS)
+    dns = np.linspace(0.05, 3.0, _PHASE_KNOWN_GRID_POINTS)
     # argmax takes the first of equal values, in row-major (lambda_p, dn) order
     grid = _constrained_map_fidelity(lams[:, None], dns[None, :])
     i, j = np.unravel_index(np.argmax(grid), grid.shape)
     lam, dn = float(lams[i]), float(dns[j])
-    evals = grid_points * grid_points
+    evals = _PHASE_KNOWN_GRID_POINTS * _PHASE_KNOWN_GRID_POINTS
     # alternate 1-D golden refinements; the objective is smooth and the
     # optimum interior, two passes land well inside 1e-6
     for _ in range(3):
@@ -305,9 +303,7 @@ def homodyne_squeezed_fidelity(prep_var_x):
     return f if isinstance(prep_var_x, np.ndarray) else float(f)
 
 
-def optimize_classical(
-    strategy: str, alphabet=None, grid_points: int = 201
-) -> OptimizationResult:
+def optimize_classical(strategy: str, alphabet=None) -> OptimizationResult:
     """Optimise a measure-and-prepare strategy; this is the numerical oracle
     behind the closed-form classical baselines.
 
@@ -320,7 +316,8 @@ def optimize_classical(
             raise ValueError("heterodyne-reprepare requires a SymmetricGaussian alphabet")
         v = alphabet.variance
         gain, f_num, evals = _grid_then_golden(
-            lambda g: heterodyne_reprepare_fidelity(g, v), 0.0, 1.0, grid_points, 1e-10
+            lambda g: heterodyne_reprepare_fidelity(g, v),
+            0.0, 1.0, _CLASSICAL_GRID_POINTS, 1e-10,
         )
         closed = benchmarks.classical_gaussian_alphabet(v)
         return OptimizationResult(
@@ -333,7 +330,7 @@ def optimize_classical(
         if alphabet is not None and not isinstance(alphabet, KnownPhase):
             raise ValueError("homodyne-squeezed requires the known-phase alphabet")
         s_x, f_num, evals = _grid_then_golden(
-            homodyne_squeezed_fidelity, 0.05, 8.0, grid_points, 1e-10
+            homodyne_squeezed_fidelity, 0.05, 8.0, _CLASSICAL_GRID_POINTS, 1e-10
         )
         closed = benchmarks.classical_known_phase()
         return OptimizationResult(

@@ -93,7 +93,7 @@ def test_sweep_rejects_non_finite_range_without_warnings(capsys, flag, vmin, vma
     ids=["sweep-csv", "sweep-json", "optimize", "optimize-just-above", "mc"],
 )
 def test_alphabet_variance_at_which_the_closed_forms_overflow_exits_2(capsys, argv):
-    # 6 V overflows there: unchecked, the sweep prints F = 0 and nan, the
+    # 6 V overflows at 1e308: unchecked, the sweep prints F = 0 and nan, the
     # JSON sweep fails on the nan and optimize reports a non-finite gap
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -102,13 +102,35 @@ def test_alphabet_variance_at_which_the_closed_forms_overflow_exits_2(capsys, ar
 
 @pytest.mark.filterwarnings("error")
 def test_largest_accepted_alphabet_variance(capsys):
-    assert math.isfinite(6.0 * MAX_ALPHABET_VARIANCE)
-    code, out, _ = run_cli(capsys, "optimize", "--V", repr(MAX_ALPHABET_VARIANCE))
+    v = repr(MAX_ALPHABET_VARIANCE)
+    code, out, _ = run_cli(capsys, "optimize", "--V", v)
     assert code == 0
     report = json.loads(out)
     assert report["V"] == MAX_ALPHABET_VARIANCE
     assert report["regime"] == "feedforward"
-    assert all(math.isfinite(gap) for gap in report["certificate"].values())
+    # verify's tolerance on the same gap
+    assert report["certificate"]["fidelity"] <= 1e-9
+    code, out, _ = run_cli(
+        capsys, "sweep", "--vmin", repr(MAX_ALPHABET_VARIANCE / 2), "--vmax", v, "--steps", "2",
+        "--format", "json",
+    )
+    assert code == 0
+    for row in json.loads(out):
+        closed = optimal_gaussian_fidelity(row["V"]).fidelity
+        assert row["F_ideal"] == pytest.approx(closed, rel=0, abs=1e-12)
+    code, _, _ = run_cli(capsys, "mc", "--V", v, "--trajectories", "2000", "--seed", "1")
+    assert code == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_gain_too_large_for_finite_clone_statistics_exits_2(capsys):
+    # an OverflowError traceback and exit 1 before
+    code, out, err = run_cli(
+        capsys, "sweep", "--vmin", "1", "--vmax", "2", "--steps", "2",
+        "--mode", "fixed", "--t1", "0.5", "--gx", "1e200",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: clone gains and variances must be finite\n"
 
 
 @pytest.mark.parametrize("flag", ["eta", "visibility"])
@@ -323,6 +345,23 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "optimize", "--config", str(config), "--V", "0.5")
     assert code == 0
     assert json.loads(out)["regime"] == "beam-splitter-only"
+
+
+def test_config_file_replaces_parser_defaults_and_flags_beat_the_file(tmp_path, capsys):
+    sweep = ["sweep", "--vmin", "2", "--vmax", "3", "--steps", "2"]
+    code, csv_out, _ = run_cli(capsys, *sweep)
+    assert code == 0 and csv_out.startswith("sqrtV,")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"format": "json", "eta": 0.9}))
+    code, out, _ = run_cli(capsys, *sweep, "--config", str(config))
+    assert code == 0
+    rows = json.loads(out)
+    # the file's eta, where the built-in default of 1 would give no loss
+    assert all(row["F_imperfect"] < row["F_ideal"] for row in rows)
+    code, out, _ = run_cli(
+        capsys, *sweep, "--config", str(config), "--format", "csv", "--eta", "1"
+    )
+    assert code == 0 and out == csv_out
 
 
 def test_config_file_errors(tmp_path, capsys):

@@ -244,21 +244,28 @@ def test_clone_output_state_vacuum_input_has_zero_means():
 
 
 def test_inter_clone_covariance_matches_circuit_sampling():
-    cfg = gaussian_machine(0.5)
-    analytic = clone_output_state(cfg, coherent(2.0, 0.0))
-    circuit = build_circuit(cfg, coherent(2.0, 0.0))
+    # an x-p correlated input that is not coherent
+    correlated = GaussianState(1, np.array([1.5, -0.5]), np.array([[1.2, 0.1], [0.1, 1.0]]))
+    cases = [
+        (gaussian_machine(0.5), coherent(2.0, 0.0), 0.0),
+        (gaussian_machine(0.5), correlated, 0.0),
+        (gaussian_machine(0.7, eta_ff=0.9, visibility=0.95), correlated, 0.2),
+    ]
     rng = np.random.default_rng(123)
     n = 4000
-    means = np.empty((n, 4))
-    cond_cov = None
-    for i in range(n):
-        _, state = circuit.run(rng)
-        means[i] = state.mean
-        cond_cov = state.cov
-    # law of total covariance: conditional cov (fixed) + scatter of the means
-    total = cond_cov + np.cov(means.T, ddof=1)
-    assert np.allclose(total, analytic.cov, atol=0.15)
-    assert means.mean(axis=0) == pytest.approx(list(analytic.mean), abs=0.1)
+    for cfg, inp, elec_noise in cases:
+        analytic = clone_output_state(cfg, inp, elec_noise)
+        circuit = build_circuit(cfg, inp)
+        means = np.empty((n, 4))
+        cond_cov = None
+        for i in range(n):
+            _, state = circuit.run(rng, elec_noise)
+            means[i] = state.mean
+            cond_cov = state.cov
+        # law of total covariance: conditional cov (fixed) + scatter of the means
+        total = cond_cov + np.cov(means.T, ddof=1)
+        assert np.allclose(total, analytic.cov, atol=0.15)
+        assert means.mean(axis=0) == pytest.approx(list(analytic.mean), abs=0.1)
 
 
 def test_full_transmittance_circuit_is_a_balanced_splitter():

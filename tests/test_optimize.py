@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cvclone import optimize
 from cvclone.benchmarks import (
     KnownPhase,
     SymmetricGaussian,
@@ -61,9 +62,10 @@ def test_optimize_t1_certificate_over_grid():
         assert res.certificate["fidelity"] <= 1e-6
 
 
-def test_optimize_t1_stable_under_grid_doubling():
-    coarse = optimize_t1(1.3, grid_points=64)
-    fine = optimize_t1(1.3, grid_points=128)
+def test_optimize_t1_stable_under_grid_doubling(monkeypatch):
+    coarse = optimize_t1(1.3)
+    monkeypatch.setattr(optimize, "_T1_GRID_POINTS", 2 * optimize._T1_GRID_POINTS)
+    fine = optimize_t1(1.3)
     assert coarse.f_value == pytest.approx(fine.f_value, abs=1e-6)
     assert coarse.params.t1 == pytest.approx(fine.params.t1, abs=1e-6)
 

@@ -57,6 +57,8 @@ def test_figure4_script_prints_the_noise_report(monkeypatch, capsys):
         # exit 0 with no f_mc before; 0 still skips the Monte Carlo
         ("figure4_noise", ["--trajectories", "-3"],
          "n_traj must be non-negative (0 skips the Monte Carlo), got -3"),
+        # printed "imperfect_noise_db": NaN and exited 0 before
+        ("figure4_noise", ["--lambda-x", "1e160"], "clone gains and variances must be finite"),
     ],
 )
 def test_figure_scripts_exit_2_on_out_of_domain_input(
