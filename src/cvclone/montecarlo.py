@@ -25,7 +25,11 @@ by both clones (the output splitter ancilla has zero mean).
 Aggregation streams: each block reduces its trajectories to a few dozen
 sums as soon as it is simulated, and the blocks merge in block order, so
 memory does not grow with the trajectory count.  The per-trajectory records
-of a block come from ``_simulate_block``.
+of a block come from ``_simulate_block``, quadrature-major: the block's draw
+is transposed once, and every input mean, outcome and clone mean is a
+contiguous row over the block.  ``KnownPhase`` fixes the p input at zero: p
+has no slope fit (NaN gain, in ``no_signal``, as a fit on zeros gives), and
+unmeasured (t2 = 1) its clone mean is 0 and its sums are constants.
 """
 
 from __future__ import annotations
@@ -51,6 +55,11 @@ from .cloner import ClonerConfig, _shot_model, heisenberg_clone_stats
 KNOWN_PHASE_AMPLITUDES = (0.0, 2.0, 4.0, 8.0)
 
 _CHUNK = 4096
+
+# trajectory i's known-phase amplitude is row i mod _CHUNK of this column
+assert _CHUNK % len(KNOWN_PHASE_AMPLITUDES) == 0
+_KNOWN_PHASE_COLUMN = np.tile(KNOWN_PHASE_AMPLITUDES, _CHUNK // len(KNOWN_PHASE_AMPLITUDES))
+_KNOWN_PHASE_COLUMN.flags.writeable = False
 
 # largest trajectory count run_batch accepts; it bounds the run time (about
 # 20 s on one core), since memory does not grow with the count
@@ -103,24 +112,19 @@ class TrajectoryBatch:
     no_signal: tuple[str, ...]
 
 
-def _alphabet_draws(alphabet: Alphabet) -> int:
+def _input_means(alphabet: Alphabet, z: np.ndarray, rows: int) -> np.ndarray:
+    """A block's (2, rows) input means from its alphabet draws ``z`` (scaled in place)."""
     if isinstance(alphabet, SymmetricGaussian):
-        return 2
-    if isinstance(alphabet, (Single, KnownPhase)):
-        return 0
-    raise ValueError(f"alphabet {alphabet!r} cannot be sampled")
-
-
-def _fill_input_means(alphabet: Alphabet, z: np.ndarray, start: int, out: np.ndarray) -> None:
-    if isinstance(alphabet, SymmetricGaussian):
-        out[:] = 2.0 * math.sqrt(alphabet.variance) * z
-    elif isinstance(alphabet, Single):
-        out[:, 0] = alphabet.x_mean
-        out[:, 1] = alphabet.p_mean
+        z *= 2.0 * math.sqrt(alphabet.variance)
+        return z
+    means = np.zeros((2, rows))
+    if isinstance(alphabet, Single):
+        means[0], means[1] = alphabet.x_mean, alphabet.p_mean
     elif isinstance(alphabet, KnownPhase):
-        grid = np.asarray(KNOWN_PHASE_AMPLITUDES)
-        out[:, 0] = grid[(start + np.arange(len(out))) % len(grid)]
-        out[:, 1] = 0.0
+        means[0] = _KNOWN_PHASE_COLUMN[:rows]
+    else:
+        raise ValueError(f"alphabet {alphabet!r} cannot be sampled")
+    return means
 
 
 def _block_normals(seed: int, block: int, k: int, rows: int = _CHUNK) -> np.ndarray:
@@ -138,24 +142,26 @@ def trajectory_normals(seed: int, i: int, k: int) -> np.ndarray:
     """
     if i < 0:
         raise ValueError(f"trajectory index must be non-negative, got {i}")
-    return _block_normals(seed, i // _CHUNK, k)[i % _CHUNK].copy()
+    block, row = divmod(i, _CHUNK)
+    return _block_normals(seed, block, k, row + 1)[row].copy()
 
 
 # input sum of squares below which a quadrature carries no signal
 _NO_SIGNAL = 1e-12
 
 # Streaming statistics.  A block reduces each fit of y on a regressor u to
-# its local through-origin slope s and the sums, with r = y - s*u,
-#     (Σu², Σuy, Σr², Σru, Σr⁴, Σr³u, Σr²u², Σru³, Σu⁴).
-# Moving the slope to s + d maps r to r - d*u, and every sum of degree 2 or 4
-# to a binomial combination of sums of the same degree, so two blocks merge
-# exactly by moving both to their joint slope ΣΣuy / ΣΣu² and adding
-# (Chan, Golub and LeVeque, Am. Stat. 37 (1983); Pébay, SAND2008-6212).
-# Local slopes differ from the joint one by O(1/sqrt(4096)), so the
-# expansion does not cancel.  The fit on u = 1 is the mean, with r the
-# central deviation; it serves the fidelity and the zero-signal branch.  A
-# block computes the latter only when it has no signal itself: the batch
-# needs it only when it has none, and then no block has.
+# its local through-origin slope s and the sums, with r = y - s*u and w = r²,
+#     (Σu², Σuy, Σr², Σru, Σ(w - c)², Σr³u, Σr²u², Σru³, Σu⁴, n),  c = Σr²/n.
+# Moving the slope to s + d maps r to r - d*u, and every sum to a polynomial
+# in d over sums of the same degree (``_shift``), so two blocks merge exactly
+# by moving both to their joint slope ΣΣuy / ΣΣu² and adding, the centred
+# sums with Chan's term for their means (Chan, Golub and LeVeque, Am. Stat.
+# 37 (1983); Pébay, SAND2008-6212).  Local slopes differ from the joint one
+# by O(1/sqrt(4096)), so the expansion does not cancel, and Σ(w - c)² keeps
+# the spread of w that Σr⁴ - (Σr²)²/n cancels away (two shots of a mean fit).
+# The fit on u = 1 is the mean, with r the central deviation; it serves the
+# fidelity and the zero-signal branch, which a block computes only when it
+# has no signal itself (then no block has).  A p without input has no slope fit.
 
 
 def _fit_sums(u: np.ndarray, y: np.ndarray) -> tuple[float, tuple]:
@@ -163,11 +169,13 @@ def _fit_sums(u: np.ndarray, y: np.ndarray) -> tuple[float, tuple]:
     suy = float(u @ y)
     s = suy / suu if suu > 0.0 else 0.0
     r = y - s * u
-    r2 = r * r
+    w = r * r
     ru = r * u
     u2 = u * u
-    return s, (suu, suy, float(r @ r), float(r @ u), float(r2 @ r2), float(r2 @ ru),
-               float(ru @ ru), float(ru @ u2), float(u2 @ u2))
+    srr, sr3u = float(r @ r), float(w @ ru)
+    w -= srr / len(u)
+    return s, (suu, suy, srr, float(r @ u), float(w @ w), sr3u,
+               float(ru @ ru), float(ru @ u2), float(u2 @ u2), float(len(u)))
 
 
 def _mean_sums(y: np.ndarray) -> tuple[float, tuple]:
@@ -175,24 +183,35 @@ def _mean_sums(y: np.ndarray) -> tuple[float, tuple]:
     sy = float(y.sum())
     s = sy / m
     e = y - s
-    e2 = e * e
-    s1, s2 = float(e.sum()), float(e2.sum())
-    return s, (m, sy, s2, s1, float(e2 @ e2), float(e2 @ e), s2, s1, m)
+    w = e * e
+    s1, s2, s3 = float(e.sum()), float(w.sum()), float(w @ e)
+    w -= s2 / m
+    return s, (m, sy, s2, s1, float(w @ w), s3, s2, s1, m, m)
+
+
+def _zero_mean_sums(m: int) -> tuple[float, tuple]:
+    return 0.0, (float(m), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, float(m), float(m))
 
 
 def _shift(sums: tuple, d: float) -> tuple:
-    """The sums of a fit whose slope moves by ``d``."""
-    suu, suy, srr, sru, sr4, sr3u, sr2u2, sru3, su4 = sums
+    """The sums of a fit whose slope moves by ``d``: w changes by
+    δ = -2d ru + d²u², and Σ(w - c)² by 2Σ(w - c)δ + Σδ² - (Σδ)²/n."""
+    suu, suy, srr, sru, cww, sr3u, sr2u2, sru3, su4, n = sums
+    c = srr / n
+    dsrr = -d * (2.0 * sru - d * suu)
     return (
         suu,
         suy,
-        srr - d * (2.0 * sru - d * suu),
+        srr + dsrr,
         sru - d * suu,
-        sr4 - d * (4.0 * sr3u - d * (6.0 * sr2u2 - d * (4.0 * sru3 - d * su4))),
+        cww - dsrr * dsrr / n
+        - d * (4.0 * (sr3u - c * sru) - d * (6.0 * sr2u2 - 2.0 * c * suu
+                                             - d * (4.0 * sru3 - d * su4))),
         sr3u - d * (3.0 * sr2u2 - d * (3.0 * sru3 - d * su4)),
         sr2u2 - d * (2.0 * sru3 - d * su4),
         sru3 - d * su4,
         su4,
+        n,
     )
 
 
@@ -202,77 +221,73 @@ def _combine(a: tuple[float, tuple] | None, b: tuple[float, tuple] | None):
     (sa, fa), (sb, fb) = a, b
     suu = fa[0] + fb[0]
     s = (fa[1] + fb[1]) / suu if suu > 0.0 else 0.0
-    return s, tuple(p + q for p, q in zip(_shift(fa, s - sa), _shift(fb, s - sb)))
+    fa, fb = _shift(fa, s - sa), _shift(fb, s - sb)
+    merged = [p + q for p, q in zip(fa, fb)]
+    dc = fa[2] / fa[9] - fb[2] / fb[9]
+    merged[4] += dc * dc * fa[9] * fb[9] / merged[9]
+    return s, tuple(merged)
 
 
-def _shot_fidelity(input_means: np.ndarray, clone_means: np.ndarray, cond_var) -> np.ndarray:
-    gx = 1.0 + cond_var[0]
-    gp = 1.0 + cond_var[1]
-    dx = clone_means[:, 0] - input_means[:, 0]
-    dp = clone_means[:, 1] - input_means[:, 1]
-    return 2.0 / math.sqrt(gx * gp) * np.exp(-0.5 * (dx**2 / gx + dp**2 / gp))
+def _shot_fidelity(dev: np.ndarray, cond_var) -> np.ndarray:
+    """Per-shot fidelities from the rows of clone minus input means (x, and
+    p unless it is identically zero); ``dev`` is overwritten."""
+    g = 1.0 + cond_var
+    dev *= dev
+    dev /= g[: len(dev), None]
+    return 2.0 / math.sqrt(g[0] * g[1]) * np.exp(-0.5 * dev.sum(0))
 
 
 def _statistics(fits: list, n: int, cond_var) -> dict:
     """Gains, variances and fidelity, with standard errors, from the merged
     fits (x on input x, x on 1, p on input p, p on 1, fidelity on 1).
 
-    A gain is the through-origin slope, NaN when the input carries no
-    signal (Σu² below ``_NO_SIGNAL``), in which case the residual is taken
-    against the mean and the quadrature joins ``no_signal``.  The per-shot
-    variance is cond_var + residual², and standard errors are sample
-    standard deviations over trajectories / sqrt(n).
+    A gain is the through-origin slope, NaN when the input carries no signal
+    (no input, or Σu² below ``_NO_SIGNAL``), in which case the residual is
+    taken against the mean and the quadrature joins ``no_signal``.  The
+    per-shot variance is cond_var + residual², and standard errors are
+    sample standard deviations over trajectories / sqrt(n).
     """
     out: dict = {"no_signal": ()}
     for q, name in ((0, "x"), (1, "p")):
-        (lam, sig), mean_fit = fits[2 * q], fits[2 * q + 1]
-        if sig[0] < _NO_SIGNAL:
+        fit, mean_fit = fits[2 * q], fits[2 * q + 1]
+        if fit is None or fit[1][0] < _NO_SIGNAL:
             lam = se_lam = math.nan
             sig = mean_fit[1]
             out["no_signal"] += (name,)
         else:
+            lam, sig = fit
             se_lam = math.sqrt(sig[2] / max(n - 1, 1) / sig[0])
-        srr, sr4 = sig[2], sig[4]
         out[f"lambda_{name}"] = lam
         out[f"se_lambda_{name}"] = se_lam
-        out[f"sigma_{name}"] = cond_var[q] + srr / n
-        out[f"se_sigma_{name}"] = (
-            math.sqrt(max(sr4 - srr * srr / n, 0.0) / (n - 1) / n) if n > 1 else 0.0
-        )
+        out[f"sigma_{name}"] = cond_var[q] + sig[2] / n
+        out[f"se_sigma_{name}"] = math.sqrt(max(sig[4], 0.0) / (n - 1) / n) if n > 1 else 0.0
     f_hat, f_sums = fits[4]
     out["f_hat"] = f_hat
     out["se_f"] = math.sqrt(f_sums[2] / (n - 1) / n) if n > 1 else 0.0
     return out
 
 
-def _combine_in_order(block_sums) -> list:
-    return functools.reduce(lambda acc, new: list(map(_combine, acc, new)), block_sums)
-
-
 def _simulate_block(model, alphabet: Alphabet, elec_noise: float, seed: int, block: int,
-                    rows: int = _CHUNK) -> tuple[np.ndarray, tuple, np.ndarray]:
-    """Input means, measured outcomes and clone means of the first ``rows``
-    trajectories of ``block``, from its one bulk normal draw.  ``model`` is
-    ``cloner._shot_model``'s; the outcomes are one column per measured
-    quadrature, x first."""
+                    rows: int = _CHUNK) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Input means (2, rows), measured outcomes (measured, rows, x first) and
+    clone means (2, rows) of the first ``rows`` trajectories of ``block``,
+    from its one bulk normal draw.  ``model`` is ``cloner._shot_model``'s."""
     coeffs, measured = model
     c, sd, a, b, e, _ = coeffs.tolist()
-    n_alpha = _alphabet_draws(alphabet)
-    has_el = elec_noise > 0.0
-    z = _block_normals(seed, block, n_alpha + (1 + int(has_el)) * measured, rows)
-    means = np.empty((rows, 2))
-    _fill_input_means(alphabet, z[:, :n_alpha], block * _CHUNK, means)
-    clone = np.empty_like(means)
-    outcomes = ()
-    col = n_alpha
-    for q in range(measured):
-        out = c[q] * means[:, q] + sd[q] * z[:, col]
-        el = math.sqrt(elec_noise) * z[:, col + 1] if has_el else 0.0
-        col += 1 + int(has_el)
-        clone[:, q] = a[q] * means[:, q] + b[q] * out + e[q] * el
-        outcomes += (out,)
-    if measured == 1:
-        clone[:, 1] = a[1] * means[:, 1]
+    n_alpha = 2 if isinstance(alphabet, SymmetricGaussian) else 0
+    step = 2 if elec_noise > 0.0 else 1
+    z = _block_normals(seed, block, n_alpha + step * measured, rows).T.copy()
+    means = _input_means(alphabet, z[:n_alpha], rows)
+    outcomes = z[n_alpha::step]
+    clone = np.empty((2, rows))
+    for q in (0, 1):
+        np.multiply(means[q], a[q], out=clone[q])
+    for q, out in enumerate(outcomes):
+        out *= sd[q]
+        out += c[q] * means[q]
+        clone[q] += b[q] * out
+        if step == 2:
+            clone[q] += e[q] * (math.sqrt(elec_noise) * z[n_alpha + 2 * q + 1])
     return means, outcomes, clone
 
 
@@ -302,17 +317,29 @@ def run_batch(
 
     model = coeffs, measured = _shot_model(cfg, elec_noise)
     cond_var = coeffs[5]
+    # KnownPhase fixes the p input at zero; unmeasured, p's clone mean is 0 too
+    no_p_input = isinstance(alphabet, KnownPhase)
+    n_dev = 1 if no_p_input and measured == 1 else 2
 
     def reduce(block: int) -> list:
         rows = min(_CHUNK, n_traj - block * _CHUNK)
         means, _, clone = _simulate_block(model, alphabet, elec_noise, seed, block, rows)
         sums = []
-        for q in (0, 1):
-            fit = _fit_sums(means[:, q], clone[:, q])
-            sums += [fit, _mean_sums(clone[:, q]) if fit[1][0] < _NO_SIGNAL else None]
-        return sums + [_mean_sums(_shot_fidelity(means, clone, cond_var))]
+        for q in range(2 - no_p_input):
+            fit = _fit_sums(means[q], clone[q])
+            sums += [fit, _mean_sums(clone[q]) if fit[1][0] < _NO_SIGNAL else None]
+        if no_p_input:
+            sums += [None, _mean_sums(clone[1]) if measured == 2 else _zero_mean_sums(rows)]
+        dev = np.subtract(clone[:n_dev], means[:n_dev], out=clone[:n_dev])
+        return sums + [_mean_sums(_shot_fidelity(dev, cond_var))]
 
-    fits = _combine_in_order(map(reduce, range(-(-n_traj // _CHUNK))))
+    # overflow shows as a non-finite merged sum, reported below
+    with np.errstate(all="ignore"):
+        blocks = map(reduce, range(-(-n_traj // _CHUNK)))
+        fits = functools.reduce(lambda acc, new: list(map(_combine, acc, new)), blocks)
+    if not all(math.isfinite(v) for fit in fits if fit for v in (fit[0], *fit[1])):
+        raise ValueError(f"Monte Carlo sums overflow at feedforward gains "
+                         f"g_x = {cfg.g_x:g}, g_p = {cfg.g_p:g}")
 
     return TrajectoryBatch(
         config=cfg,

@@ -101,6 +101,21 @@ def test_alphabet_variance_at_which_the_closed_forms_overflow_exits_2(capsys, ar
 
 
 @pytest.mark.filterwarnings("error")
+def test_monte_carlo_sums_that_overflow_name_the_feedforward_gains(capsys):
+    # eta = 1e-300 sets the phase-known gain to 1e150; its fourth-power sums
+    # overflowed with numpy warnings and a JSON error that named no input
+    code, out, err = run_cli(
+        capsys, "mc", "--phase-known", "--eta", "1e-300", "--trajectories", "1000"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: Monte Carlo sums overflow at feedforward gains g_x = 1e+150, g_p = 0\n"
+    code, _, _ = run_cli(
+        capsys, "mc", "--V", repr(MAX_ALPHABET_VARIANCE), "--trajectories", "2000", "--seed", "1"
+    )
+    assert code == 0
+
+
+@pytest.mark.filterwarnings("error")
 def test_largest_accepted_alphabet_variance(capsys):
     v = repr(MAX_ALPHABET_VARIANCE)
     code, out, _ = run_cli(capsys, "optimize", "--V", v)

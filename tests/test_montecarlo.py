@@ -22,13 +22,17 @@ from cvclone.cloner import (
     heisenberg_clone_stats,
     phase_known_machine,
 )
-from cvclone.experiments import reproduce_figure3, reproduce_figure4
+from cvclone.experiments import _random_machines, reproduce_figure3, reproduce_figure4
 from cvclone.gaussian import coherent
 from cvclone.montecarlo import (
     KNOWN_PHASE_AMPLITUDES,
     MAX_TRAJECTORIES,
+    _fit_sums,
+    _mean_sums,
     _shot_fidelity,
     _simulate_block,
+    _statistics,
+    _zero_mean_sums,
     compare_with_analytic,
     run_batch,
     trajectory_normals,
@@ -45,9 +49,10 @@ def _records(cfg, alphabet, n, seed, elec_noise=0.0):
         _simulate_block(model, alphabet, elec_noise, seed, b, min(4096, n - 4096 * b))
         for b in range(-(-n // 4096))
     ]
-    means = np.concatenate([block[0] for block in blocks])
-    outcomes = np.concatenate([np.column_stack(block[1]) for block in blocks])
-    clone = np.concatenate([block[2] for block in blocks])
+    # the blocks are quadrature-major; the records are one row per trajectory
+    means, outcomes, clone = (
+        np.concatenate([block[j] for block in blocks], axis=1).T for j in range(3)
+    )
     return means, outcomes, clone, model[0][5]
 
 
@@ -259,6 +264,56 @@ def test_streamed_aggregates_match_two_pass_reference(cfg, alphabet, n):
         assert math.isnan(streamed.lambda_p)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    machine_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    homodyne=st.booleans(),
+    alphabet=st.sampled_from(
+        [SymmetricGaussian(1.72), KnownPhase(), Single(2.0, 0.0), Single(-1.5, 0.7)]
+    ),
+    elec_noise=st.sampled_from([0.0, 0.3]),
+    n=st.integers(min_value=1, max_value=3 * 4096),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_streamed_aggregates_match_two_pass_reference_on_random_machines(
+    machine_seed, homodyne, alphabet, elec_noise, n, seed
+):
+    # lossy machines with squeezed ancillas; at t2 = 1 p is not measured.
+    # KnownPhase skips the p fit, Single(2, 0) fits p on zero inputs, and two
+    # shots of a mean fit leave w = r² equal to rounding
+    row = _random_machines(np.random.default_rng(machine_seed), 1)[0]
+    if homodyne:
+        row[1] = 1.0
+    t1, t2, g_x, g_p, vx1, vp1, vx3, vp3, eta, vis = row.tolist()
+    cfg = ClonerConfig(t1=t1, t2=t2, g_x=g_x, g_p=g_p, anc1=(vx1, vp1), anc3=(vx3, vp3),
+                       eta_ff=eta, visibility=vis)
+    streamed = run_batch(cfg, alphabet, n, seed=seed, elec_noise=elec_noise)
+    input_means, _, clone_means, cond_var = _records(cfg, alphabet, n, seed, elec_noise)
+    for key, value in _two_pass(input_means, clone_means, cond_var).items():
+        expected = pytest.approx(value, rel=1e-12, abs=1e-15, nan_ok=True)
+        assert getattr(streamed, key) == expected, key
+
+
+def _bits(fit):
+    return np.array([fit[0], *fit[1]]).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 4096])
+def test_no_input_constants_are_the_sums_of_zero_rows(m):
+    zeros = np.zeros(m)
+    y = np.random.default_rng(m).standard_normal(m)
+    assert _bits(_zero_mean_sums(m)) == _bits(_mean_sums(zeros))
+    # a skipped slope fit (None) reads as the fit of y on zero inputs
+    fidelity = _mean_sums(np.exp(-y * y))
+    x_fits = [_fit_sums(np.arange(m, dtype=float), y), _mean_sums(y)]
+    skipped = _statistics(x_fits + [None, _mean_sums(y), fidelity], m, np.array([0.5, 0.7]))
+    fitted = _statistics(
+        x_fits + [_fit_sums(zeros, y), _mean_sums(y), fidelity], m, np.array([0.5, 0.7])
+    )
+    assert "p" in skipped["no_signal"]
+    assert repr(sorted(skipped.items())) == repr(sorted(fitted.items()))
+
+
 def test_run_batch_memory_is_flat_without_records():
     cfg = gaussian_machine(0.83, eta_ff=0.95, visibility=0.99)
     run_batch(cfg, SymmetricGaussian(1.72), 10, seed=1, elec_noise=0.1)
@@ -327,7 +382,7 @@ def test_phase_known_batch_and_amplitude_independence():
     assert math.isnan(batch.lambda_p)
     # per-amplitude estimates agree pairwise within 3 combined SEs
     input_means, _, clone_means, cond_var = _records(cfg, KnownPhase(), 80_000, seed=13)
-    f = _shot_fidelity(input_means, clone_means, cond_var)
+    f = _shot_fidelity((clone_means - input_means).T, cond_var)
     assert float(np.mean(f)) == pytest.approx(batch.f_hat, rel=1e-12)
     per_amp = []
     for a in KNOWN_PHASE_AMPLITUDES:
