@@ -7,11 +7,15 @@ Exit codes: 0 success, 1 verification or z-score failure, 2 usage error,
 keys are the long flag names without the leading dashes, each value of its
 flag's type); a file value replaces its flag's default, and an explicit
 flag overrides both.  ``CVCLONE_SEED`` provides the default Monte Carlo seed.
+``mc`` needs at least 2 trajectories: one has no standard error.  ``main``
+builds its parser once per process, on the first call, and runs the
+``cmd_*`` function the command names; ``build_parser()`` builds a new one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -212,8 +216,9 @@ def cmd_mc(args) -> int:
         raise UsageError("mc requires exactly one of --V or --phase-known")
     if n_traj is None:
         raise UsageError("mc requires --trajectories")
-    if n_traj < 1:
-        raise UsageError("trajectories must be positive")
+    if n_traj < 2:
+        # one trajectory has no standard error, so every z-score would be inf
+        raise UsageError(f"trajectories must be at least 2, got {n_traj}")
     seed = args.seed
     if seed is None:
         env = os.environ.get("CVCLONE_SEED", str(DEFAULT_SEED))
@@ -276,13 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help):
+    def command(name, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON file with default flag values")
-        p.set_defaults(func=func, parser=p)
+        p.set_defaults(parser=p)
         return p
 
-    p = command("sweep", cmd_sweep, "fidelity-vs-V table (CSV or JSON)")
+    p = command("sweep", "fidelity-vs-V table (CSV or JSON)")
     p.add_argument("--vmin", type=float)
     p.add_argument("--vmax", type=float)
     p.add_argument("--steps", type=int)
@@ -295,15 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p = command("optimize", cmd_optimize, "optimal machine for a Gaussian alphabet")
+    p = command("optimize", "optimal machine for a Gaussian alphabet")
     p.add_argument("--V", type=float)
 
-    p = command("phase-known", cmd_phase_known, "phase-known machine report")
+    p = command("phase-known", "phase-known machine report")
     p.add_argument("--ancilla", choices=["vacuum", "squeezed"], default="vacuum")
     p.add_argument("--p1-var", type=float)
     p.add_argument("--x3-var", type=float)
 
-    p = command("mc", cmd_mc, "Monte Carlo run with z-score self-check")
+    p = command("mc", "Monte Carlo run with z-score self-check")
     p.add_argument("--V", type=float)
     p.add_argument("--phase-known", action="store_true")
     p.add_argument("--trajectories", type=int)
@@ -312,20 +317,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--visibility", type=float, default=1.0)
     p.add_argument("--elec-noise", type=float, default=0.0)
 
-    command("verify", cmd_verify, "closed-form identity suite")
+    command("verify", "closed-form identity suite")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser().parse_args(argv)
+    command = args.command
     try:
         if args.config:
-            # file values replace the built-in defaults; explicit flags win
-            args.parser.set_defaults(**_load_config(args.config, args.parser))
-            args = parser.parse_args(argv)
-        return args.func(args)
+            # argparse fills a default only where the namespace has no value,
+            # so file values replace the built-in defaults and explicit flags win
+            file_values = argparse.Namespace(**_load_config(args.config, args.parser))
+            args = args.parser.parse_args(argv[argv.index(command) + 1:], file_values)
+        # read at call time, so a wrapper installed after the first call is used
+        return globals()["cmd_" + command.replace("-", "_")](args)
     except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from cvclone.benchmarks import (
     optimal_gaussian_fidelity,
 )
 from cvclone.cloner import ClonerConfig, heisenberg_clone_stats
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -318,6 +321,19 @@ def test_mc_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("machine", [["--V", "1"], ["--phase-known"]], ids=["V", "phase-known"])
+def test_mc_needs_two_trajectories(capsys, machine):
+    # one trajectory has no standard error: every z-score was inf, and the
+    # run exited 2 with a JSON error that named neither the flag nor the cause
+    code, out, err = run_cli(capsys, "mc", *machine, "--trajectories", "1")
+    assert code == 2 and out == ""
+    assert err == "error: trajectories must be at least 2, got 1\n"
+    code, out, _ = run_cli(capsys, "mc", *machine, "--trajectories", "2", "--seed", "3")
+    assert code == 0
+    assert json.loads(out, parse_constant=pytest.fail)["config"]["trajectories"] == 2
+
+
 @pytest.mark.parametrize("elec", ["inf", "nan", "-0.5"])
 def test_mc_rejects_bad_electronic_noise(capsys, elec):
     code, out, err = run_cli(
@@ -505,3 +521,78 @@ def test_verify_detects_tampered_constant(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     assert "FAIL" in out
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def _mc_config(capsys, *argv):
+    code, out, _ = run_cli(capsys, "mc", "--V", "1.72", "--trajectories", "100", *argv)
+    assert code == 0
+    return json.loads(out)["config"]
+
+
+def test_config_values_do_not_outlive_their_call(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CVCLONE_SEED", raising=False)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps({"eta": 0.9, "seed": 5}))
+    second.write_text(json.dumps({"visibility": 0.95}))
+    report = _mc_config(capsys, "--config", str(first))
+    assert (report["eta"], report["visibility"], report["seed"]) == (0.9, 1.0, 5)
+    # a second file does not inherit the first file's values
+    report = _mc_config(capsys, "--config", str(second))
+    assert (report["eta"], report["visibility"], report["seed"]) == (1.0, 0.95, cli.DEFAULT_SEED)
+    # and a plain call runs on the built-in defaults
+    report = _mc_config(capsys)
+    assert (report["eta"], report["visibility"], report["seed"]) == (1.0, 1.0, cli.DEFAULT_SEED)
+
+
+def test_a_usage_error_leaves_the_parser_intact(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mc", "--trajectories", "x"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    cases = json.loads((GOLDEN / "cases.json").read_text())
+    code, out, _ = run_cli(capsys, *cases["mc-phase-known.json"])
+    assert code == 0
+    assert out == (GOLDEN / "mc-phase-known.json").read_text(encoding="utf-8")
+
+
+COMMANDS = ("sweep", "optimize", "phase-known", "mc", "verify")
+
+
+@pytest.mark.parametrize("argv", [["-h"]] + [[name, "-h"] for name in COMMANDS])
+def test_help_matches_a_fresh_parser(capsys, argv):
+    run_cli(capsys, "phase-known")  # the cached parser exists and has been used
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    cached = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 0
+    assert cached == capsys.readouterr().out
+    assert cached.startswith("usage: cvclone")
+
+
+def test_main_builds_no_parser_after_the_first_call_and_dispatches_at_call_time(
+    capsys, monkeypatch
+):
+    run_cli(capsys, "phase-known")
+
+    def no_parser():
+        raise AssertionError("main built a second parser")
+
+    seen = []
+    real = cli.cmd_mc
+
+    def recording(args):
+        seen.append(args.trajectories)
+        return real(args)
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    monkeypatch.setattr(cli, "cmd_mc", recording)
+    code, out, _ = run_cli(capsys, "mc", "--V", "1.72", "--trajectories", "100", "--seed", "1")
+    assert code == 0 and json.loads(out)["config"]["seed"] == 1
+    assert seen == [100]
