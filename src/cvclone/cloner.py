@@ -260,6 +260,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
+def _check_elec_noise(elec_noise: float) -> None:
+    if not (math.isfinite(elec_noise) and elec_noise >= 0):
+        raise ValueError(f"elec_noise must be finite and non-negative, got {elec_noise}")
+
+
 def _machine_map(machines: np.ndarray, elec_noise: float):
     """Quadrature coefficients of a stack of machines over the noise
     sources (input, a1, a2, loss vacuum), for x and p.
@@ -273,8 +278,7 @@ def _machine_map(machines: np.ndarray, elec_noise: float):
     """
     if not machines[:, 0].all():
         raise ValueError("t1 = 0 requires infinite feedforward gain")
-    if not (math.isfinite(elec_noise) and elec_noise >= 0):
-        raise ValueError(f"elec_noise must be finite and non-negative, got {elec_noise}")
+    _check_elec_noise(elec_noise)
     t1, t2, g_x, g_p, vx1, vp1, _, _, eta_ff, visibility = machines.T
     tau = _transmission(eta_ff, visibility)
     s1, r1, s2, r2, st, rt = np.sqrt([t1, 1.0 - t1, t2, 1.0 - t2, tau, 1.0 - tau])
@@ -443,6 +447,7 @@ class CloningCircuit:
         Stream use per shot: one draw for the X outcome, then its electronic
         noise (if any), then the P outcome and its noise when t2 < 1.
         """
+        _check_elec_noise(elec_noise)
         cfg = self.config
         rec_x, state = measure_quadrature(self._pre, _X1, rng)
         x_used = rec_x.outcome + self._elec(rng, elec_noise)

@@ -6,6 +6,13 @@ state of complex amplitude a has mean (2 Re a, 2 Im a) and identity
 covariance.  All operations are pure functions; sampling takes an explicit
 ``numpy.random.Generator`` so that runs are reproducible and states can be
 shared freely across threads.
+
+The covariance algebra of ``beam_splitter``, ``tensor`` and
+``measure_quadrature`` is memoised on the input covariance's bytes and the
+operation's parameters.  A Gaussian measurement's conditional covariance does
+not depend on the outcome, so a circuit run shot after shot recomputes only
+its means and its draws.  The cached arrays are read-only, and every state is
+still built and validated from a copy of them.
 """
 
 from __future__ import annotations
@@ -91,12 +98,21 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _cov_of(n_modes: int, cov_bytes: bytes) -> np.ndarray:
+    """The 2n x 2n covariance held in ``cov_bytes``, as a fresh array."""
+    d = 2 * n_modes
+    return np.frombuffer(cov_bytes).reshape(d, d).copy()
+
+
 @functools.lru_cache(maxsize=16)
 def _i_omega(n_modes: int) -> np.ndarray:
     """Read-only i*Omega, the shift in every state's physicality check."""
-    i_omega = 1j * symplectic_form(n_modes)
-    i_omega.flags.writeable = False
-    return i_omega
+    return _frozen(1j * symplectic_form(n_modes))
 
 
 @functools.lru_cache(maxsize=256)
@@ -215,8 +231,7 @@ def _bs_symplectic(n_modes: int, mode_a: int, mode_b: int, transmittance: float)
         ia, ib = 2 * mode_a + off, 2 * mode_b + off
         s[ia, ia], s[ia, ib] = t, r
         s[ib, ia], s[ib, ib] = r, -t
-    s.flags.writeable = False
-    return s
+    return _frozen(s)
 
 
 def beam_splitter(
@@ -234,8 +249,16 @@ def beam_splitter(
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
     s = _bs_symplectic(state.n_modes, mode_a, mode_b, transmittance)
-    cov = s @ state.cov @ s.T
-    return GaussianState(state.n_modes, s @ state.mean, (cov + cov.T) / 2.0)
+    cov = _bs_cov(state.n_modes, mode_a, mode_b, transmittance, state.cov.tobytes())
+    return GaussianState(state.n_modes, s @ state.mean, cov)
+
+
+@functools.lru_cache(maxsize=256)
+def _bs_cov(n_modes: int, mode_a: int, mode_b: int, transmittance: float, cov_bytes: bytes):
+    """Read-only covariance after ``beam_splitter``: (S C S^T + its transpose) / 2."""
+    s = _bs_symplectic(n_modes, mode_a, mode_b, transmittance)
+    cov = s @ _cov_of(n_modes, cov_bytes) @ s.T
+    return _frozen((cov + cov.T) / 2.0)
 
 
 def displace(state: GaussianState, mode: int, dx: float, dp: float) -> GaussianState:
@@ -249,12 +272,18 @@ def displace(state: GaussianState, mode: int, dx: float, dp: float) -> GaussianS
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     """Product state: block direct sum of means and covariances."""
-    n = a.n_modes + b.n_modes
-    mean = np.concatenate([a.mean, b.mean])
+    cov = _tensor_cov(a.n_modes, a.cov.tobytes(), b.n_modes, b.cov.tobytes())
+    return GaussianState(a.n_modes + b.n_modes, np.concatenate([a.mean, b.mean]), cov)
+
+
+@functools.lru_cache(maxsize=256)
+def _tensor_cov(n_a: int, cov_a: bytes, n_b: int, cov_b: bytes) -> np.ndarray:
+    """Read-only block-diagonal covariance of ``tensor``."""
+    n = n_a + n_b
     cov = np.zeros((2 * n, 2 * n))
-    cov[: 2 * a.n_modes, : 2 * a.n_modes] = a.cov
-    cov[2 * a.n_modes :, 2 * a.n_modes :] = b.cov
-    return GaussianState(n, mean, cov)
+    cov[: 2 * n_a, : 2 * n_a] = _cov_of(n_a, cov_a)
+    cov[2 * n_a :, 2 * n_a :] = _cov_of(n_b, cov_b)
+    return _frozen(cov)
 
 
 def partial_trace(state: GaussianState, keep) -> GaussianState:
@@ -273,8 +302,7 @@ def _rest_index(n_modes: int, mode: int) -> tuple[np.ndarray, tuple]:
     rest = np.array(
         [i for i in range(2 * n_modes) if i not in (2 * mode, 2 * mode + 1)], dtype=int
     )
-    rest.flags.writeable = False
-    return rest, np.ix_(rest, rest)
+    return _frozen(rest), np.ix_(rest, rest)
 
 
 def measure_quadrature(
@@ -293,24 +321,38 @@ def measure_quadrature(
     """
     state._check_mode(quad.mode)
     qi = quad.index
-    rest, rest_grid = _rest_index(state.n_modes, quad.mode)
-    var = float(state.cov[qi, qi])
-    cross = state.cov[:, qi][rest]  # the entries of cov[rest, qi], indexed faster
-    if var < DEGENERATE_VAR_TOL:
-        if cross.size and float(np.max(np.abs(cross))) > DEGENERATE_VAR_TOL:
-            raise ValueError("degenerate marginal with nonzero cross covariance")
+    rest = _rest_index(state.n_modes, quad.mode)[0]
+    # the tolerance is read here, so a changed tolerance is a new key
+    var, cross, cov = _conditioned(state.n_modes, qi, state.cov.tobytes(), DEGENERATE_VAR_TOL)
+    if cross is None:
         outcome = float(state.mean[qi])
-        reduced = GaussianState(
-            state.n_modes - 1, state.mean[rest], state.cov[rest_grid]
-        )
+        reduced = GaussianState(state.n_modes - 1, state.mean[rest], cov)
         return MeasurementRecord(quad, outcome), reduced
     outcome = float(state.mean[qi]) + math.sqrt(var) * float(rng.standard_normal())
     mean = state.mean[rest] + cross * ((outcome - state.mean[qi]) / var)
-    cov = state.cov[rest_grid] - cross[:, None] * cross / var
-    return (
-        MeasurementRecord(quad, outcome),
-        GaussianState(state.n_modes - 1, mean, (cov + cov.T) / 2.0),
-    )
+    return MeasurementRecord(quad, outcome), GaussianState(state.n_modes - 1, mean, cov)
+
+
+@functools.lru_cache(maxsize=256)
+def _conditioned(n_modes: int, qi: int, cov_bytes: bytes, degenerate_tol: float):
+    """The outcome-independent part of measuring quadrature ``qi``: its
+    variance, the read-only cross covariance cov[rest, qi] and the read-only
+    conditioned covariance of the other modes.  The cross covariance is None
+    for a variance below ``degenerate_tol``, a deterministic outcome that
+    leaves the other modes as they were.
+
+    A rejection raises, and ``lru_cache`` never stores an exception.
+    """
+    cov = _cov_of(n_modes, cov_bytes)
+    rest, rest_grid = _rest_index(n_modes, qi // 2)
+    var = float(cov[qi, qi])
+    cross = cov[:, qi][rest]  # the entries of cov[rest, qi], indexed faster
+    if var < degenerate_tol:
+        if cross.size and float(np.max(np.abs(cross))) > degenerate_tol:
+            raise ValueError("degenerate marginal with nonzero cross covariance")
+        return var, None, _frozen(cov[rest_grid])
+    cov = cov[rest_grid] - cross[:, None] * cross / var
+    return var, _frozen(cross), _frozen((cov + cov.T) / 2.0)
 
 
 def fidelity_coherent_vs_gaussian(alpha_mean, clone: GaussianState) -> float:
@@ -325,11 +367,14 @@ def fidelity_coherent_vs_gaussian(alpha_mean, clone: GaussianState) -> float:
     """
     if clone.n_modes != 1:
         raise ValueError("fidelity expects a single-mode clone state")
+    ax, ap = float(alpha_mean[0]), float(alpha_mean[1])
+    if not (math.isfinite(ax) and math.isfinite(ap)):
+        raise ValueError("coherent amplitude must be finite")
     if abs(float(clone.cov[0, 1])) > DIAGONAL_TOL:
         raise ValueError("clone covariance has x-p correlations; not supported")
     sx, sp = float(clone.cov[0, 0]), float(clone.cov[1, 1])
-    dx = float(clone.mean[0]) - float(alpha_mean[0])
-    dp = float(clone.mean[1]) - float(alpha_mean[1])
+    dx = float(clone.mean[0]) - ax
+    dp = float(clone.mean[1]) - ap
     return (
         2.0
         / math.sqrt((1.0 + sx) * (1.0 + sp))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cvclone import gaussian
 from cvclone.benchmarks import KnownPhase, average_fidelity
 from cvclone.cloner import (
     MACHINE_COLUMNS,
@@ -21,8 +22,10 @@ from cvclone.cloner import (
     phase_known_clone_stats,
     phase_known_machine,
 )
+from cvclone.experiments import _random_machines
 from cvclone.gaussian import (
     GaussianState,
+    MeasurementRecord,
     Quadrature,
     beam_splitter,
     coherent,
@@ -306,7 +309,10 @@ def test_electronic_noise_adds_variance():
     assert noisy.sigma_x - clean.sigma_x == pytest.approx(cfg.g_x**2 * 0.5 / 2, abs=1e-12)
 
 
-def _reference_shot(cfg, input_state, rng, elec_noise):
+def _reference_shot(
+    cfg, input_state, rng, elec_noise,
+    beam_splitter=beam_splitter, tensor=tensor, measure_quadrature=measure_quadrature,
+):
     """One shot built from the primitives stage by stage, the fixed part
     included, in the circuit's order of stream use."""
 
@@ -361,6 +367,114 @@ def test_circuit_shots_are_bit_identical_to_the_per_shot_chain(cfg, elec_noise):
         assert np.array_equal(state.cov, ref_state.cov)
     # both streams were used alike
     assert rng_circuit.standard_normal() == rng_ref.standard_normal()
+
+
+# the three memoised primitives written out without their caches, as
+# before the covariance algebra was memoised
+
+
+def _plain_beam_splitter(state, mode_a, mode_b, transmittance):
+    s = np.eye(2 * state.n_modes)
+    t, r = math.sqrt(transmittance), math.sqrt(1.0 - transmittance)
+    for off in (0, 1):
+        ia, ib = 2 * mode_a + off, 2 * mode_b + off
+        s[ia, ia], s[ia, ib] = t, r
+        s[ib, ia], s[ib, ib] = r, -t
+    cov = s @ state.cov @ s.T
+    return GaussianState(state.n_modes, s @ state.mean, (cov + cov.T) / 2.0)
+
+
+def _plain_tensor(a, b):
+    n = a.n_modes + b.n_modes
+    cov = np.zeros((2 * n, 2 * n))
+    cov[: 2 * a.n_modes, : 2 * a.n_modes] = a.cov
+    cov[2 * a.n_modes :, 2 * a.n_modes :] = b.cov
+    return GaussianState(n, np.concatenate([a.mean, b.mean]), cov)
+
+
+def _plain_measure(state, quad, rng):
+    qi = quad.index
+    rest = np.array([i for i in range(2 * state.n_modes) if i // 2 != quad.mode])
+    var = float(state.cov[qi, qi])
+    cross = state.cov[rest, qi]
+    assert var >= gaussian.DEGENERATE_VAR_TOL  # no circuit here has a degenerate arm
+    outcome = float(state.mean[qi]) + math.sqrt(var) * float(rng.standard_normal())
+    mean = state.mean[rest] + cross * ((outcome - state.mean[qi]) / var)
+    cov = state.cov[np.ix_(rest, rest)] - cross[:, None] * cross / var
+    return (
+        MeasurementRecord(quad, outcome),
+        GaussianState(state.n_modes - 1, mean, (cov + cov.T) / 2.0),
+    )
+
+
+_CACHES = (gaussian._bs_cov, gaussian._tensor_cov, gaussian._conditioned)
+
+
+def _random_config(machine_seed, homodyne):
+    row = _random_machines(np.random.default_rng(machine_seed), 1)[0]
+    if homodyne:
+        row[1] = 1.0
+    t1, t2, g_x, g_p, vx1, vp1, vx3, vp3, eta, vis = row.tolist()
+    return ClonerConfig(t1=t1, t2=t2, g_x=g_x, g_p=g_p, anc1=(vx1, vp1), anc3=(vx3, vp3),
+                        eta_ff=eta, visibility=vis)
+
+
+def _shot_bits(records, state):
+    return [r.outcome for r in records], state.mean.tobytes(), state.cov.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    machine_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    homodyne=st.booleans(),
+    elec_noise=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_memoised_shots_equal_cold_and_unmemoised_shots(machine_seed, homodyne, elec_noise, seed):
+    # lossy machines with squeezed ancillas, at their own t2 < 1 and at t2 = 1
+    cfg = _random_config(machine_seed, homodyne)
+    inp = GaussianState(1, np.array([1.5, -0.5]), np.array([[1.2, 0.1], [0.1, 1.0]]))
+    shots = 4
+    rng = np.random.default_rng(seed)
+    cold = []
+    for _ in range(shots):
+        for cache in _CACHES:
+            cache.cache_clear()
+        cold.append(_shot_bits(*build_circuit(cfg, inp).run(rng, elec_noise)))
+    circuit = build_circuit(cfg, inp)
+    rng = np.random.default_rng(seed)
+    warm = [_shot_bits(*circuit.run(rng, elec_noise)) for _ in range(shots)]
+    rng = np.random.default_rng(seed)
+    plain = [
+        _shot_bits(*_reference_shot(cfg, inp, rng, elec_noise, _plain_beam_splitter,
+                                    _plain_tensor, _plain_measure))
+        for _ in range(shots)
+    ]
+    assert cold == warm == plain
+
+
+def test_caches_stay_bounded_over_many_distinct_circuits():
+    rng = np.random.default_rng(8)
+    for machine_seed in range(1000):
+        cfg = _random_config(machine_seed, homodyne=machine_seed % 2 == 1)
+        build_circuit(cfg, coherent(2.0, -1.0)).run(rng, elec_noise=0.1)
+    for cache in _CACHES:
+        info = cache.cache_info()
+        assert info.maxsize == 256
+        assert info.currsize <= info.maxsize
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("elec_noise", [-1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cfg", [gaussian_machine(0.7), phase_known_machine()],
+                         ids=["heterodyne", "homodyne"])
+def test_circuit_rejects_bad_electronic_noise_before_any_draw(cfg, elec_noise):
+    circuit = build_circuit(cfg, coherent(2.0, -1.0))
+    rng, untouched = np.random.default_rng(4), np.random.default_rng(4)
+    with pytest.raises(ValueError) as info:
+        circuit.run(rng, elec_noise)
+    assert str(info.value) == f"elec_noise must be finite and non-negative, got {elec_noise}"
+    assert rng.standard_normal() == untouched.standard_normal()
 
 
 @pytest.mark.parametrize(

@@ -199,6 +199,15 @@ def test_fidelity_values():
     assert fidelity_coherent_vs_gaussian((2, 0), coherent(0, 0)) == pytest.approx(math.exp(-1.0))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_fidelity_rejects_a_non_finite_coherent_amplitude(alpha):
+    with pytest.raises(ValueError, match="coherent amplitude must be finite"):
+        fidelity_coherent_vs_gaussian(alpha, coherent(0, 0))
+    with pytest.raises(ValueError, match="coherent amplitude must be finite"):
+        fidelity_coherent_vs_gaussian(np.array(alpha), coherent(0, 0))
+
+
 def test_fidelity_rejects_correlated_covariance():
     corr = GaussianState(1, np.zeros(2), np.array([[2.0, 0.5], [0.5, 2.0]]))
     with pytest.raises(ValueError):
@@ -396,3 +405,52 @@ def test_state_copies_and_freezes_its_moments():
     fortran = np.asfortranarray([[2.0, 0.3], [0.3, 1.0]])
     assert GaussianState(1, mean, fortran).cov.flags.c_contiguous
     assert GaussianState(1, [0, 0], [[1, 0], [0, 1]]).mean.dtype == float
+
+
+def test_states_built_from_cached_covariances_are_read_only_copies():
+    anc, inp = squeezed_vacuum(2.0, 0.5), coherent(1.0, -1.0)
+    joint = tensor(anc, inp)
+    split = beam_splitter(joint, 0, 1, 0.3)
+    _, rest = measure_quadrature(split, Quadrature.x(1), np.random.default_rng(0))
+    var, cross, conditioned = gaussian._conditioned(
+        2, 2, split.cov.tobytes(), gaussian.DEGENERATE_VAR_TOL
+    )
+    entries = [
+        (joint, gaussian._tensor_cov(1, anc.cov.tobytes(), 1, inp.cov.tobytes())),
+        (split, gaussian._bs_cov(2, 0, 1, 0.3, joint.cov.tobytes())),
+        (rest, conditioned),
+    ]
+    for state, entry in entries:
+        assert np.array_equal(state.cov, entry)
+        assert not entry.flags.writeable and not state.cov.flags.writeable
+        assert not np.shares_memory(state.cov, entry)
+    assert not cross.flags.writeable
+    assert var == split.cov[2, 2]
+    # the entries are the cached objects themselves
+    assert gaussian._bs_cov(2, 0, 1, 0.3, joint.cov.tobytes()) is entries[1][1]
+
+
+def test_degenerate_decision_reads_the_tolerance_at_call_time(monkeypatch):
+    tiny = squeezed_vacuum(1e-13, 1e13)
+    for _ in range(2):  # the second pass comes from the cache
+        record, rest = measure_quadrature(tiny, Quadrature.x(0), np.random.default_rng(0))
+        assert record.outcome == 0.0 and rest.n_modes == 0
+    monkeypatch.setattr(gaussian, "DEGENERATE_VAR_TOL", 1e-14)
+    record, _ = measure_quadrature(tiny, Quadrature.x(0), np.random.default_rng(0))
+    assert record.outcome == math.sqrt(1e-13) * float(np.random.default_rng(0).standard_normal())
+    monkeypatch.undo()
+    assert measure_quadrature(tiny, Quadrature.x(0), np.random.default_rng(0))[0].outcome == 0.0
+
+
+def test_degenerate_marginal_with_cross_covariance_is_rejected_every_time():
+    # x of mode 0 has zero variance but correlates with mode 1's x
+    cov = np.array([
+        [0.0, 0.0, 1e-6, 0.0],
+        [0.0, 1e13, 0.0, 0.0],
+        [1e-6, 0.0, 2.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ])
+    correlated = GaussianState(2, np.zeros(4), cov)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="degenerate marginal with nonzero cross"):
+            measure_quadrature(correlated, Quadrature.x(0), np.random.default_rng(0))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -223,3 +224,81 @@ def test_squeezed_map_grid_picks_the_first_per_point_maximum():
                     best, expected = f, (i, j)
         grid = _constrained_map_fidelity(lams[:, None], dns[None, :])
         assert np.unravel_index(np.argmax(grid), grid.shape) == expected, n
+
+
+def _full_grid_then_golden(f, lo, hi, grid_points, tol):
+    # the reference scan: every grid point in one array call
+    xs = np.linspace(lo, hi, grid_points)
+    i = int(np.argmax(f(xs)))
+    a, b = xs[max(i - 1, 0)], xs[min(i + 1, grid_points - 1)]
+    x, fx, evals = golden_section_max(f, float(a), float(b), tol)
+    return x, fx, evals + grid_points
+
+
+def test_coarse_to_fine_scan_brackets_the_peak_of_any_lopsided_unimodal_grid():
+    # a slow rise to the grid point j and a steep fall after it (and the
+    # mirror image), so the best coarse point can sit a whole stride away
+    for n in [*range(2, 40), 64, 128, 201]:
+        xs = np.linspace(0.0, 1.0, n)
+        for j, slope in itertools.product(range(n), (1e3, -1e3)):
+            def f(x, peak=xs[j], slope=slope):
+                d = x - peak
+                return -np.where(d * slope > 0, abs(slope) * abs(d), 1e-3 * abs(d))
+
+            full = _full_grid_then_golden(f, 0.0, 1.0, n, 1e-6)
+            x, fx, _ = optimize._grid_then_golden(f, 0.0, 1.0, n, 1e-6)
+            assert (x, fx) == full[:2], (n, j, slope)
+
+
+def _searches():
+    # every caller of _grid_then_golden, over the widths the optimisers see
+    t1_widths = np.geomspace(1e-3, 1e3, 400).tolist() + np.arange(0.2, 5.01, 0.2).tolist()
+    for v in t1_widths:
+        yield f"t1 V={v}", lambda v=v: optimize_t1(v)
+    for v in WIDTHS:
+        yield f"heterodyne V={v}", lambda v=v: optimize_classical(
+            "heterodyne-reprepare", SymmetricGaussian(v)
+        )
+    yield "homodyne", lambda: optimize_classical("homodyne-squeezed")
+    yield "vacuum phase-known", lambda: optimize_phase_known("vacuum-ancillas")
+
+
+def _fields(res):
+    return res.params, res.f_value, res.certificate
+
+
+def test_coarse_to_fine_scan_gives_the_full_grid_results(monkeypatch):
+    scanned = [(name, _fields(search())) for name, search in _searches()]
+    monkeypatch.setattr(optimize, "_grid_then_golden", _full_grid_then_golden)
+    for (name, fields), (_, search) in zip(scanned, _searches()):
+        assert fields == _fields(search()), name
+
+
+def _counting(monkeypatch, owner, name):
+    # counts each point of an array argument as one evaluation
+    calls = 0
+    original = getattr(owner, name)
+
+    def counted(x, *args):
+        nonlocal calls
+        calls += len(x) if isinstance(x, np.ndarray) else 1
+        return original(x, *args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return lambda: calls
+
+
+def test_iterations_count_every_objective_evaluation(monkeypatch):
+    searches = [
+        ("heterodyne_reprepare_fidelity",
+         lambda: optimize_classical("heterodyne-reprepare", SymmetricGaussian(1.72))),
+        ("homodyne_squeezed_fidelity", lambda: optimize_classical("homodyne-squeezed")),
+        ("_vacuum_phase_known_fidelity", lambda: optimize_phase_known("vacuum-ancillas")),
+    ]
+    for name, search in searches:
+        calls = _counting(monkeypatch, optimize, name)
+        assert search().iterations == calls(), name
+    for v in (0.5, 1.72, 1e6):  # the optimum at t1 = 1, inside, and near 1/2
+        calls = _counting(monkeypatch, optimize.benchmarks, "gaussian_alphabet_fidelity")
+        assert optimize_t1(v).iterations == calls(), v
+        monkeypatch.undo()
