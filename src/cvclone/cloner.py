@@ -17,11 +17,12 @@ the measurement splitter; homodyne visibility enters the photocurrent
 quadratically.
 
 All statistics are exact consequences of the linear input-output relations.
-One coefficient routine, ``_machine_map``, writes them down for a stack of
-machines (one row of ``MACHINE_COLUMNS`` each); the analytic clone
-statistics and the Monte Carlo engine's per-shot model (``_shot_model``)
+Per quadrature the machine is one joint Gaussian of the kept beam T and the
+feedforward outcome M, which ``_moments`` writes in closed form, without BLAS,
+for a stack of machines (one row of ``MACHINE_COLUMNS`` each); the analytic
+clone statistics and the Monte Carlo engine's per-shot model (``_shot_model``)
 read from it, and the ensemble output state reads the statistics.
-``heisenberg_clone_stats`` is that routine on one ``ClonerConfig``, and
+``heisenberg_clone_stats`` is that core on one ``ClonerConfig``, and
 ``batched_clone_stats`` on many machines at once, with the same bits per
 machine.  ``CloningCircuit``, which runs the machine over the Gaussian
 primitives, and ``phase_known_clone_stats`` are independent oracles for it.
@@ -246,6 +247,7 @@ def phase_known_machine(
     default, which makes the average fidelity amplitude independent).
     """
     tau = _transmission(check_fraction("eta_ff", eta_ff), check_fraction("visibility", visibility))
+    _check(abs(lambda_x) < math.inf, lambda_x, "lambda_x must be finite, got {}")
     g_x = (2.0 * lambda_x - 1.0) / math.sqrt(tau)
     return ClonerConfig(
         t1=0.5, t2=1.0, g_x=g_x, g_p=0.0, anc1=anc1, anc3=anc3,
@@ -253,54 +255,48 @@ def phase_known_machine(
     )
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis, one BLAS dot per row: the bits of
-    the 1-D ``a @ b`` on each row, which ``(a * b).sum(-1)`` does not
-    reproduce."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
 def _check_elec_noise(elec_noise: float) -> None:
     if not (math.isfinite(elec_noise) and elec_noise >= 0):
         raise ValueError(f"elec_noise must be finite and non-negative, got {elec_noise}")
 
 
-def _machine_map(machines: np.ndarray, elec_noise: float):
-    """Quadrature coefficients of a stack of machines over the noise
-    sources (input, a1, a2, loss vacuum), for x and p.
+def _moments(machines: np.ndarray, elec_noise: float):
+    """Per quadrature, the joint Gaussian of the kept beam T and the
+    feedforward outcome M for a coherent input of mean mean_q, of a stack of
+    machines ((n, 10), in ``MACHINE_COLUMNS`` order).
 
-    ``machines`` is an (n, 10) array in ``MACHINE_COLUMNS`` order.  Returns
-    ``(t, m, g, var)``: ``t[i, q]`` and ``m[i, q]`` are the coefficient
-    vectors of the transmitted beam and of the measured X (q = 0) or P
-    (q = 1) operator, ``g[i, q]`` the effective gain (g_p is 0 when t2 == 1,
-    where no P outcome exists) and ``var[i, q]`` the source variances, input
-    shot noise first.  The displaced beam is ``t + g * m``.
+    Returns ``(s1, m0, var_t, var_m, cov, g)``: T has mean s1 mean_q (s1 =
+    sqrt(t1), (n, 1)) and M m0 mean_q, with variances var_t, var_m and
+    covariance cov, each (n, 2) over (x, p); g feeds M forward.  With arm =
+    tau (t2, 1 - t2) and e = (vx1, vp1) - 1, m0 = sqrt(arm) sqrt(1 - t1),
+    var_t = 1 + (1 - t1) e, var_m = 1 + arm t1 e and cov = -m0 sqrt(t1) e.
+    ``elec_noise`` is only checked here.  At t2 = 1 g_p is dropped, as no
+    phase detector exists; at t2 = 0 g_x still feeds the vacuum x arm forward.
     """
     if not machines[:, 0].all():
         raise ValueError("t1 = 0 requires infinite feedforward gain")
     _check_elec_noise(elec_noise)
-    t1, t2, g_x, g_p, vx1, vp1, _, _, eta_ff, visibility = machines.T
-    tau = _transmission(eta_ff, visibility)
-    s1, r1, s2, r2, st, rt = np.sqrt([t1, 1.0 - t1, t2, 1.0 - t2, tau, 1.0 - tau])
-    one = np.ones_like(t1)
-    zero = 0.0 * one
-    t = [[s1, r1, zero, zero]] * 2
-    m = [[st * s2 * r1, -st * s2 * s1, r2, rt * s2], [st * r2 * r1, -st * r2 * s1, -s2, rt * r2]]
-    var = [[one, vx1, one, one], [one, vp1, one, one]]
-    # machine first, each 4-vector contiguous for the BLAS dots
-    t, m, var = np.array([t, m, var]).transpose(3, 0, 1, 2).copy().swapaxes(0, 1)
-    g = np.array([g_x, np.where(t2 < 1.0, g_p, 0.0)]).T
-    return t, m, g, var
+    t1, t2 = machines[:, :1], machines[:, 1]
+    tau = _transmission(machines[:, 8], machines[:, 9])
+    arm = tau[:, None] * np.column_stack([t2, 1.0 - t2])
+    e = machines[:, 4:6] - 1.0
+    s1 = np.sqrt(t1)
+    m0 = np.sqrt(arm) * np.sqrt(1.0 - t1)
+    var_t = 1.0 + (1.0 - t1) * e
+    var_m = 1.0 + arm * t1 * e
+    cov = -m0 * s1 * e
+    g = np.column_stack([machines[:, 2], np.where(t2 < 1.0, machines[:, 3], 0.0)])
+    return s1, m0, var_t, var_m, cov, g
 
 
 def _clone_stats(machines: np.ndarray, elec_noise: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gains and variances, each (n, 2) over (x, p), of a stack of machines."""
-    t, m, g, var = _machine_map(machines, elec_noise)
+    """Gains and variances, each (n, 2) over (x, p), of a stack of machines:
+    the displaced beam T + g (M + n_el) through the output splitter."""
+    s1, m0, var_t, var_m, cov, g = _moments(machines, elec_noise)
     # a huge gain overflows to inf or nan here, which CloneStatistics rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        c = t + g[..., None] * m
-        lam = c[..., 0] / SQRT2
-        sigma = (_dot(c, c * var) + g * g * elec_noise) / 2.0 + machines[:, 6:8] / 2.0
+        lam = (s1 + g * m0) / SQRT2
+        sigma = (var_t + 2.0 * g * cov + g * g * (var_m + elec_noise) + machines[:, 6:8]) / 2.0
     return lam, sigma
 
 
@@ -380,7 +376,7 @@ def clone_output_state(
 
 
 def _shot_model(cfg: ClonerConfig, elec_noise: float = 0.0) -> tuple[np.ndarray, int]:
-    """Per-shot model of the Monte Carlo engine, read from ``_machine_map``.
+    """Per-shot model of the Monte Carlo engine, read from ``_moments``.
 
     For a coherent input with quadrature means mean_q, q = x, p, outcome q is
     c * mean_q + sd * z; after conditioning on it and feeding it forward the
@@ -390,14 +386,11 @@ def _shot_model(cfg: ClonerConfig, elec_noise: float = 0.0) -> tuple[np.ndarray,
     the number of measured quadratures: 2, or 1 at t2 = 1, where p is not
     measured and its clone mean is a * mean_p alone.
     """
-    t, m, g, var = _machine_map(np.array([cfg.as_row()]), elec_noise)
-    mv = m * var
+    s1, m0, var_t, var_m, cov, g = (v[0] for v in _moments(np.array([cfg.as_row()]), elec_noise))
     # var_m > 0, as each outcome carries vacuum noise; at t2 = 1 the p row's
     # "outcome" is vacuum alone, uncorrelated with the beam, so its k is 0
-    var_m, cov, var_t = (_dot(a, b)[0] for a, b in ((m, mv), (t, mv), (t, t * var)))
     k = cov / var_m
-    t0, m0, g = t[0, :, 0], m[0, :, 0], g[0]
-    rows = [m0, np.sqrt(var_m), (t0 - k * m0) / SQRT2, (k + g) / SQRT2, g / SQRT2,
+    rows = [m0, np.sqrt(var_m), (s1 - k * m0) / SQRT2, (k + g) / SQRT2, g / SQRT2,
             (var_t - k * cov + cfg.anc3) / 2.0]
     return np.array(rows), 2 if cfg.t2 < 1.0 else 1
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +62,13 @@ def test_loss_parameters_are_checked_before_any_gain_is_derived(name, value):
     ):
         with pytest.raises(ValueError, match=name):
             build()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_phase_known_machine_rejects_a_non_finite_lambda_x(value):
+    # the derived gain's message named g_x, not the argument, before
+    with pytest.raises(ValueError, match=f"^lambda_x must be finite, got {value}$"):
+        phase_known_machine(lambda_x=value)
 
 
 @pytest.mark.parametrize("spec", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
@@ -200,11 +208,59 @@ def test_phase_known_stats_match_general_map():
     assert direct.sigma_p == pytest.approx(general.sigma_p, abs=1e-12)
 
 
-def _marginal_stats(two_clone_state, mode, input_mean):
-    lam_x = two_clone_state.mean[2 * mode] / input_mean[0]
-    lam_p = two_clone_state.mean[2 * mode + 1] / input_mean[1]
-    cov = two_clone_state.mode_cov(mode)
-    return lam_x, lam_p, cov[0, 0], cov[1, 1]
+class _GivenNormals:
+    """A stand-in generator whose standard normals are the given values, in
+    order; ``used`` counts the draws taken."""
+
+    def __init__(self, values):
+        self.values, self.used = list(values), 0
+
+    def standard_normal(self):
+        self.used += 1
+        return self.values[self.used - 1]
+
+
+def _exact_circuit_ensemble(cfg, input_state, elec_noise):
+    """Mean and covariance of ``CloningCircuit``'s two clones averaged over
+    the outcomes, exactly: a shot's clone means are affine in the standard
+    normals it draws and its covariance depends on none of them, so the
+    ensemble is the all-zero shot's state plus the scatter J J^T of the
+    means, J's columns the shifts that unit draws make."""
+    circuit = build_circuit(cfg, input_state)
+    zero = _GivenNormals([0.0] * 4)
+    _, base = circuit.run(zero, elec_noise)
+    shifts = [
+        circuit.run(_GivenNormals(np.eye(4)[j].tolist()), elec_noise)[1].mean - base.mean
+        for j in range(zero.used)
+    ]
+    jac = np.array(shifts).T
+    return base.mean, base.cov + jac @ jac.T
+
+
+def _close(got, want, rel=1e-12):
+    """Entrywise within ``rel`` of the largest entry of ``want``."""
+    got, want = np.asarray(got), np.asarray(want)
+    return np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+_CORRELATED = GaussianState(1, np.array([1.5, -0.5]), np.array([[1.2, 0.1], [0.1, 1.0]]))
+
+
+def _check_circuit_ensemble(cfg, elec_noise):
+    """The circuit's exact ensemble against ``heisenberg_clone_stats`` on a
+    coherent input, and against the full ``clone_output_state`` on that
+    input and on an x-p correlated one, to 1e-12 relative."""
+    stats = heisenberg_clone_stats(cfg, elec_noise)
+    mean, cov = _exact_circuit_ensemble(cfg, coherent(3.0, -2.0), elec_noise)
+    for mode in (0, 1):
+        gains = mean[2 * mode : 2 * mode + 2] / (3.0, -2.0)
+        assert _close(gains[0], stats.lambda_x) and _close(gains[1], stats.lambda_p)
+        assert _close(cov[2 * mode, 2 * mode], stats.sigma_x)
+        assert _close(cov[2 * mode + 1, 2 * mode + 1], stats.sigma_p)
+    for inp in (coherent(3.0, -2.0), _CORRELATED):
+        mean, cov = _exact_circuit_ensemble(cfg, inp, elec_noise)
+        state = clone_output_state(cfg, inp, elec_noise)
+        assert _close(mean, state.mean) and _close(cov, state.cov)
 
 
 @pytest.mark.parametrize(
@@ -218,15 +274,63 @@ def _marginal_stats(two_clone_state, mode, input_mean):
     ],
 )
 def test_circuit_ensemble_matches_analytic_stats(cfg):
-    inp = coherent(3.0, -2.0)
-    out = clone_output_state(cfg, inp)
-    stats = heisenberg_clone_stats(cfg)
-    for mode in (0, 1):
-        lam_x, lam_p, sig_x, sig_p = _marginal_stats(out, mode, (3.0, -2.0))
-        assert lam_x == pytest.approx(stats.lambda_x, abs=1e-10)
-        assert lam_p == pytest.approx(stats.lambda_p, abs=1e-10)
-        assert sig_x == pytest.approx(stats.sigma_x, abs=1e-10)
-        assert sig_p == pytest.approx(stats.sigma_p, abs=1e-10)
+    for elec_noise in (0.0, 0.3):
+        _check_circuit_ensemble(cfg, elec_noise)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    machine_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    homodyne=st.booleans(),
+    elec_noise=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+)
+def test_exact_circuit_ensemble_matches_the_core_over_random_machines(
+    machine_seed, homodyne, elec_noise
+):
+    # lossy machines with squeezed ancillas, at their own t2 < 1 and at t2 = 1
+    _check_circuit_ensemble(_random_config(machine_seed, homodyne), elec_noise)
+
+
+def _mirrored(machines):
+    """Each machine with x and p exchanged: t2 -> 1 - t2, the gains swapped
+    and each ancilla's variance pair swapped."""
+    t1, t2, g_x, g_p, vx1, vp1, vx3, vp3, eta, vis = machines.T
+    return np.column_stack([t1, 1.0 - t2, g_p, g_x, vp1, vx1, vp3, vx3, eta, vis])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    machine_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    elec_noise=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+)
+def test_mirrored_machine_swaps_the_x_and_p_statistics(machine_seed, elec_noise):
+    # 0 < t2 < 1 in every machine: at the ends the mirror fails by the gain
+    # convention pinned in the next test
+    machines = _random_machines(np.random.default_rng(machine_seed), 40)
+    stats = batched_clone_stats(machines, elec_noise)
+    mirror = batched_clone_stats(_mirrored(machines), elec_noise)
+    for got, want in (
+        (mirror.lambda_x, stats.lambda_p), (mirror.lambda_p, stats.lambda_x),
+        (mirror.sigma_x, stats.sigma_p), (mirror.sigma_p, stats.sigma_x),
+    ):
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_gain_convention_at_the_ends_of_t2():
+    elec_noise = 0.3
+    cfg = ClonerConfig(t1=0.6, t2=1.0, g_x=0.9, anc1=(2.0, 0.6), eta_ff=0.9)
+    # at t2 = 1 no phase detector exists, so g_p is dropped
+    dropped = replace(cfg, g_p=1.7)
+    assert heisenberg_clone_stats(dropped, elec_noise) == heisenberg_clone_stats(cfg, elec_noise)
+    # at t2 = 0 the x arm is vacuum, and g_x still feeds it forward
+    vacuum_arm = replace(cfg, t2=0.0)
+    stats = heisenberg_clone_stats(vacuum_arm, elec_noise)
+    no_gain = heisenberg_clone_stats(replace(vacuum_arm, g_x=0.0), elec_noise)
+    assert stats.lambda_x == no_gain.lambda_x == pytest.approx(math.sqrt(0.6 / 2.0), rel=1e-15)
+    assert stats.sigma_x - no_gain.sigma_x == pytest.approx(0.9**2 * (1.0 + elec_noise) / 2.0)
+    # the circuit follows both conventions
+    for machine in (dropped, vacuum_arm):
+        _check_circuit_ensemble(machine, elec_noise)
 
 
 def test_clone_output_state_symmetry_and_cross_covariance():
@@ -501,26 +605,24 @@ def test_circuit_shot_builds_only_the_outcome_dependent_states(monkeypatch, cfg,
 
 
 def _written_out_stats(row, elec_noise):
-    """Gains and variances of one machine by the 1-D formula: the displaced
-    beam's coefficients over (input, a1, a2, loss vacuum) and
-    sigma = (c @ (c * var) + g^2 elec_noise) / 2 + var(a3) / 2."""
+    """Gains and variances of one machine by the closed form, in Python
+    floats: each quadrature's (T, M) moments, then
+    lambda = (sqrt(t1) + g m0) / sqrt(2) and
+    sigma = (var_t + 2 g cov + g^2 (var_m + elec_noise) + var(a3)) / 2."""
     t1, t2, g_x, g_p, vx1, vp1, vx3, vp3, eta, vis = row
-    s1, r1 = math.sqrt(t1), math.sqrt(1.0 - t1)
-    s2, r2 = math.sqrt(t2), math.sqrt(1.0 - t2)
     tau = eta * (vis * vis)
-    st_, rt = math.sqrt(tau), math.sqrt(1.0 - tau)
-    g_p = g_p if t2 < 1.0 else 0.0
-    tx = np.array([s1, r1, 0.0, 0.0])
-    cx = tx + g_x * np.array([st_ * s2 * r1, -st_ * s2 * s1, r2, rt * s2])
-    cp = tx + g_p * np.array([st_ * r2 * r1, -st_ * r2 * s1, -s2, rt * r2])
-    varx = np.array([1.0, vx1, 1.0, 1.0])
-    varp = np.array([1.0, vp1, 1.0, 1.0])
-    return [
-        float(cx[0]) / math.sqrt(2.0),
-        float(cp[0]) / math.sqrt(2.0),
-        (float(cx @ (cx * varx)) + g_x * g_x * elec_noise) / 2.0 + vx3 / 2.0,
-        (float(cp @ (cp * varp)) + g_p * g_p * elec_noise) / 2.0 + vp3 / 2.0,
-    ]
+    s1 = math.sqrt(t1)
+    lam, sigma = [], []
+    for arm, g, v1, v3 in ((tau * t2, g_x, vx1, vx3),
+                           (tau * (1.0 - t2), g_p if t2 < 1.0 else 0.0, vp1, vp3)):
+        e = v1 - 1.0
+        m0 = math.sqrt(arm) * math.sqrt(1.0 - t1)
+        var_t = 1.0 + (1.0 - t1) * e
+        var_m = 1.0 + arm * t1 * e
+        cov = -m0 * s1 * e
+        lam.append((s1 + g * m0) / math.sqrt(2.0))
+        sigma.append((var_t + 2.0 * g * cov + g * g * (var_m + elec_noise) + v3) / 2.0)
+    return lam + sigma
 
 
 _machine_rows = st.lists(

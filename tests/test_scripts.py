@@ -59,6 +59,9 @@ def test_figure4_script_prints_the_noise_report(monkeypatch, capsys):
          "n_traj must be non-negative (0 skips the Monte Carlo), got -3"),
         # printed "imperfect_noise_db": NaN and exited 0 before
         ("figure4_noise", ["--lambda-x", "1e160"], "clone gains and variances must be finite"),
+        # named the derived gain before: "electronic gains must be finite"
+        ("figure4_noise", ["--lambda-x", "nan"], "lambda_x must be finite, got nan"),
+        ("figure4_noise", ["--lambda-x", "inf"], "lambda_x must be finite, got inf"),
     ],
 )
 def test_figure_scripts_exit_2_on_out_of_domain_input(
