@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from cvclone.experiments import reproduce_figure3
+from cvclone.experiments import MAX_SWEEP_STEPS, reproduce_figure3
 
 
 def main() -> int:
@@ -34,6 +34,11 @@ def main() -> int:
     ap.add_argument("--out", default="fig3.csv")
     ap.add_argument("--plot", default=None, help="optional PNG path")
     args = ap.parse_args()
+    if not 1 <= args.steps <= MAX_SWEEP_STEPS:
+        ap.error(f"--steps must lie in [1, {MAX_SWEEP_STEPS}], got {args.steps}")
+    for flag, value in (("--sqrt-vmin", args.sqrt_vmin), ("--sqrt-vmax", args.sqrt_vmax)):
+        if not value > 0.0:
+            ap.error(f"{flag} must be positive, got {value}")
 
     try:
         sqrt_v = np.linspace(args.sqrt_vmin, args.sqrt_vmax, args.steps)

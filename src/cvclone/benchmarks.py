@@ -94,14 +94,9 @@ class KnownPhase:
     """Coherent states of known, constant phase and unbounded flat amplitude.
 
     Statistics are evaluated in the frame rotated so the known phase is 0
-    (amplitudes on the x axis, zero phase-quadrature mean).
+    (amplitudes on the x axis, zero phase-quadrature mean), so the alphabet
+    has no parameters.
     """
-
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.phase < 2.0 * math.pi:
-            raise ValueError(f"phase must lie in [0, 2*pi), got {self.phase}")
 
 
 @dataclass(frozen=True)

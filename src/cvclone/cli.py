@@ -36,6 +36,7 @@ from .benchmarks import (
 from .cloner import (
     check_fraction,
     gaussian_machine,
+    heisenberg_clone_stats,
     matched_gain,
     phase_known_clone_stats,
     phase_known_machine,
@@ -115,6 +116,8 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"{name} must be finite, got {value}")
     if vmin <= 0 or vmax <= vmin or steps < 2:
         raise UsageError("need 0 < vmin < vmax and steps >= 2")
+    if steps > experiments.MAX_SWEEP_STEPS:
+        raise UsageError(f"--steps must be at most {experiments.MAX_SWEEP_STEPS}, got {steps}")
     eta = check_fraction("eta", args.eta)
     fixed = None
     if args.mode == "fixed":
@@ -148,12 +151,12 @@ def cmd_optimize(args) -> int:
     if v is None:
         raise UsageError("optimize requires --V")
     result = optimize.optimize_t1(v)
-    t1 = result.params.t1
+    cfg = result.params
     report = {
         "V": v,
-        "T1": t1,
-        "gain": matched_gain(t1),
-        "lambda": 1.0 / math.sqrt(2.0 * t1),
+        "T1": cfg.t1,
+        "gain": cfg.g_x,
+        "lambda": heisenberg_clone_stats(cfg).lambda_x,
         "F": result.f_value,
         "regime": optimal_gaussian_fidelity(v).regime.value,
         "certificate": result.certificate,

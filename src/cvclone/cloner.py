@@ -406,13 +406,16 @@ class CloningCircuit:
     Everything before the feedforward detectors depends on neither the
     stream nor the outcomes, so construction builds it once: ``_pre`` is the
     state at the detectors (mode 0 the transmitted beam, mode 1 the x arm,
-    mode 2 the p arm when t2 < 1) and ``_anc3`` the output-splitter ancilla.
+    mode 2 the p arm when t2 < 1), with the output-splitter ancilla as its
+    last mode.  The ancilla shares no covariance with any other mode until
+    the output splitter, so measuring the arms leaves its moments exactly as
+    they were, and a shot has the same bits as one that tensors the ancilla
+    in after the displacement.
     """
 
     config: ClonerConfig
     input_state: GaussianState
     _pre: GaussianState = field(init=False, repr=False, compare=False)
-    _anc3: GaussianState = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.input_state.n_modes != 1:
@@ -428,8 +431,8 @@ class CloningCircuit:
         if cfg.t2 < 1.0:
             state = tensor(state, vacuum())
             state = beam_splitter(state, 1, 2, cfg.t2)
+        state = tensor(state, squeezed_vacuum(*cfg.anc3))
         object.__setattr__(self, "_pre", state)
-        object.__setattr__(self, "_anc3", squeezed_vacuum(*cfg.anc3))
 
     def run(
         self, rng: np.random.Generator, elec_noise: float = 0.0
@@ -452,8 +455,8 @@ class CloningCircuit:
         else:
             records, p_used, g_p = [rec_x], 0.0, 0.0
 
+        # with the arms measured, mode 1 is the output-splitter ancilla
         state = displace(state, 0, cfg.g_x * x_used, g_p * p_used)
-        state = tensor(state, self._anc3)
         state = beam_splitter(state, 0, 1, 0.5)
         return records, state
 

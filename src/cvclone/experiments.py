@@ -32,7 +32,17 @@ from .cloner import (
 )
 from .montecarlo import KNOWN_PHASE_AMPLITUDES, run_batch
 
-__all__ = ["sweep_rows", "reproduce_figure3", "reproduce_figure4", "verification_checks"]
+__all__ = [
+    "MAX_SWEEP_STEPS",
+    "sweep_rows",
+    "reproduce_figure3",
+    "reproduce_figure4",
+    "verification_checks",
+]
+
+# most V grid points a sweep accepts: every row is held in memory, and 10**5
+# rows take about 4 s and 150 MB on one core
+MAX_SWEEP_STEPS = 10**5
 
 
 def sweep_rows(v_grid, eta_ff: float, visibility: float, fixed=None) -> list[dict[str, float]]:
@@ -109,11 +119,14 @@ def reproduce_figure4(
     At unit gain the fidelity is the exact known-phase average; away from
     it the report averages the single-shot fidelity over the representative
     amplitude grid, since the flat-amplitude average is undefined there.
-    ``n_traj`` > 0 adds a Monte Carlo estimate (``f_mc``, ``se_mc``) and
+    ``n_traj`` >= 2 adds a Monte Carlo estimate (``f_mc``, ``se_mc``) and
     0 skips it.
     """
     if n_traj < 0:
         raise ValueError(f"n_traj must be non-negative (0 skips the Monte Carlo), got {n_traj}")
+    if n_traj == 1:
+        # one trajectory has no standard error
+        raise ValueError("n_traj must be 0 (no Monte Carlo) or at least 2, got 1")
     ideal_stats = phase_known_clone_stats(anc1, anc3)
     lossy_cfg = phase_known_machine(anc1, anc3, eta_ff, visibility, lambda_x)
     lossy_stats = heisenberg_clone_stats(lossy_cfg)

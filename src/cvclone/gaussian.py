@@ -7,12 +7,13 @@ covariance.  All operations are pure functions; sampling takes an explicit
 ``numpy.random.Generator`` so that runs are reproducible and states can be
 shared freely across threads.
 
-The covariance algebra of ``beam_splitter``, ``tensor`` and
-``measure_quadrature`` is memoised on the input covariance's bytes and the
-operation's parameters.  A Gaussian measurement's conditional covariance does
-not depend on the outcome, so a circuit run shot after shot recomputes only
-its means and its draws.  The cached arrays are read-only, and every state is
-still built and validated from a copy of them.
+The covariance algebra of ``beam_splitter`` and ``measure_quadrature`` is
+memoised on the input covariance's bytes and the operation's parameters.  A
+Gaussian measurement's conditional covariance does not depend on the
+outcome, so a circuit run shot after shot recomputes only its means and its
+draws.  ``tensor`` is not memoised: a circuit builds its tensor products once,
+at construction.  The cached arrays are read-only, and every state is still
+built and validated from a copy of them.
 """
 
 from __future__ import annotations
@@ -109,12 +110,6 @@ def _cov_of(n_modes: int, cov_bytes: bytes) -> np.ndarray:
     return np.frombuffer(cov_bytes).reshape(d, d).copy()
 
 
-@functools.lru_cache(maxsize=16)
-def _i_omega(n_modes: int) -> np.ndarray:
-    """Read-only i*Omega, the shift in every state's physicality check."""
-    return _frozen(1j * symplectic_form(n_modes))
-
-
 @functools.lru_cache(maxsize=256)
 def _check_cov(n_modes: int, cov_bytes: bytes, symmetry_tol: float, physicality_tol: float):
     """Raise ValueError unless the 2n x 2n covariance held in ``cov_bytes``
@@ -133,7 +128,7 @@ def _check_cov(n_modes: int, cov_bytes: bytes, symmetry_tol: float, physicality_
         scale = max(1.0, float(np.abs(cov).max()))
         if float(np.abs(cov - cov.T).max()) > symmetry_tol * scale:
             raise ValueError("covariance matrix is not symmetric")
-        eigs = np.linalg.eigvalsh(cov + _i_omega(n_modes))
+        eigs = np.linalg.eigvalsh(cov + 1j * symplectic_form(n_modes))
         if float(eigs.min()) < -physicality_tol:
             raise ValueError(
                 "covariance matrix violates the uncertainty relation "
@@ -272,18 +267,11 @@ def displace(state: GaussianState, mode: int, dx: float, dp: float) -> GaussianS
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     """Product state: block direct sum of means and covariances."""
-    cov = _tensor_cov(a.n_modes, a.cov.tobytes(), b.n_modes, b.cov.tobytes())
-    return GaussianState(a.n_modes + b.n_modes, np.concatenate([a.mean, b.mean]), cov)
-
-
-@functools.lru_cache(maxsize=256)
-def _tensor_cov(n_a: int, cov_a: bytes, n_b: int, cov_b: bytes) -> np.ndarray:
-    """Read-only block-diagonal covariance of ``tensor``."""
-    n = n_a + n_b
+    n = a.n_modes + b.n_modes
     cov = np.zeros((2 * n, 2 * n))
-    cov[: 2 * n_a, : 2 * n_a] = _cov_of(n_a, cov_a)
-    cov[2 * n_a :, 2 * n_a :] = _cov_of(n_b, cov_b)
-    return _frozen(cov)
+    cov[: 2 * a.n_modes, : 2 * a.n_modes] = a.cov
+    cov[2 * a.n_modes :, 2 * a.n_modes :] = b.cov
+    return GaussianState(n, np.concatenate([a.mean, b.mean]), cov)
 
 
 def partial_trace(state: GaussianState, keep) -> GaussianState:

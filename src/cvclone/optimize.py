@@ -21,9 +21,11 @@ inside its objective, since the benchmark's tracer counts one
 ``gaussian_alphabet_fidelity`` call per evaluation.
 
 The classical measure-and-prepare objectives are evaluated by explicit
-Gauss-Hermite integration of the single-shot fidelity.  They deliberately
-avoid the closed forms in :mod:`cvclone.benchmarks` so the two routes stay
-independent cross-checks of each other.
+Gauss-Hermite integration of the single-shot fidelity, one route for a
+float and an array alike, so a gain has the same bits in a scan as in a
+refinement step.  They deliberately avoid the closed forms in
+:mod:`cvclone.benchmarks` so the two routes stay independent cross-checks
+of each other.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(80)
 _GH_HET_NOISE = math.sqrt(2.0 * 2.0) * _GH_NODES[None, :]
 _GH_HET_WEIGHTS = (_GH_WEIGHTS[:, None] * _GH_WEIGHTS[None, :]) / math.pi
 _GH_HALF = len(_GH_NODES) // 2
-# gains per buffer in the array route: 16 x 40 x 80 doubles, 410 KB
-_GAINS_PER_CHUNK = 16
 # grid points of the searches (the known-phase one per axis of its map grid)
 _T1_GRID_POINTS = 64
 _PHASE_KNOWN_GRID_POINTS = 64
@@ -271,34 +271,22 @@ def heterodyne_reprepare_fidelity(gain, v: float):
     two identical quadrature averages.
 
     The nodes and weights are symmetric about 0, so the integrand at node
-    pair (i, j) equals the one at (79 - i, 79 - j) bit for bit, and only the
-    first 40 rows are computed.  One gain sums the 80 x 80 grid rebuilt from
-    them.  An array of gains gives an array of fidelities; it sums the 40
-    rows and doubles, which agrees with the one-gain value to rounding.
+    pair (i, j) equals the one at (79 - i, 79 - j) bit for bit; each gain
+    sums the first 40 rows and doubles.  An array of gains gives an array of
+    fidelities, one (40, 80) half grid per gain in one buffer, and a gain
+    has the same bits alone, as a one-element array and inside a grid.
     """
     benchmarks.check_alphabet_variance(v)
     xbar = math.sqrt(2.0 * 4.0 * v) * _GH_NODES[:_GH_HALF, None]
-    if not isinstance(gain, np.ndarray):
-        half = _heterodyne_half_integrand(gain, xbar)
-        one_quadrature = float(np.concatenate([half, half[::-1, ::-1]]).sum())
-        return one_quadrature**2
-    one_quadrature = np.empty(len(gain))
-    # a few gains at a time keep the buffer small
-    for lo in range(0, len(gain), _GAINS_PER_CHUNK):
-        half = _heterodyne_half_integrand(gain[lo:lo + _GAINS_PER_CHUNK, None, None], xbar)
-        one_quadrature[lo:lo + _GAINS_PER_CHUNK] = 2.0 * half.sum(axis=(1, 2))
-    return one_quadrature**2
-
-
-def _heterodyne_half_integrand(gain, xbar: np.ndarray) -> np.ndarray:
-    # weights * exp(-delta^2 / 4) on the first 40 rows, in one buffer
-    # updated in place (one more leading axis for an array of gains)
-    buf = np.add((gain - 1.0) * xbar, gain * _GH_HET_NOISE)
+    g = np.reshape(np.asarray(gain, float), (-1, 1, 1))
+    # weights * exp(-delta^2 / 4), updated in place
+    buf = np.add((g - 1.0) * xbar, g * _GH_HET_NOISE)
     np.square(buf, out=buf)
     buf *= -0.25
     np.exp(buf, out=buf)
     buf *= _GH_HET_WEIGHTS[:_GH_HALF]
-    return buf
+    f = (2.0 * buf.sum(axis=(1, 2))) ** 2
+    return f if isinstance(gain, np.ndarray) else float(f[0])
 
 
 def homodyne_squeezed_fidelity(prep_var_x):

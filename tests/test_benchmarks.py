@@ -26,8 +26,6 @@ def test_alphabet_validation():
     with pytest.raises(ValueError):
         SymmetricGaussian(0.0)
     with pytest.raises(ValueError):
-        KnownPhase(7.0)
-    with pytest.raises(ValueError):
         Single(math.inf, 0.0)
 
 

@@ -11,7 +11,8 @@ from cvclone.benchmarks import (
     average_fidelity,
     optimal_gaussian_fidelity,
 )
-from cvclone.cloner import ClonerConfig, heisenberg_clone_stats
+from cvclone.cloner import ClonerConfig, gaussian_machine, heisenberg_clone_stats
+from cvclone.experiments import MAX_SWEEP_STEPS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -73,6 +74,18 @@ def test_sweep_usage_errors(capsys, tmp_path):
         "--out", str(tmp_path / "missing" / "rows.csv"),
     )
     assert code == 3
+
+
+def test_sweep_rejects_a_step_count_above_the_bound_before_allocating(capsys, monkeypatch):
+    # numpy's allocation traceback and exit 1 before
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    steps = 10**11
+    code, out, err = run_cli(capsys, "sweep", "--vmin", "1", "--vmax", "2", "--steps", str(steps))
+    assert code == 2 and out == ""
+    assert err == f"error: --steps must be at most {MAX_SWEEP_STEPS}, got {steps}\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -206,6 +219,10 @@ def test_optimize_json_report(capsys):
         math.sqrt(2 * (1 - report["T1"]) / report["T1"]), abs=1e-12
     )
     assert report["lambda"] == pytest.approx(1 / math.sqrt(2 * report["T1"]), abs=1e-12)
+    # and are the library's own numbers, bit for bit
+    machine = gaussian_machine(report["T1"])
+    assert report["gain"] == machine.g_x
+    assert report["lambda"] == heisenberg_clone_stats(machine).lambda_x
 
 
 def test_optimize_beam_splitter_regime(capsys):

@@ -11,7 +11,6 @@ from cvclone.gaussian import (
     SYMMETRY_TOL,
     GaussianState,
     _bs_symplectic,
-    _i_omega,
     Quadrature,
     beam_splitter,
     coherent,
@@ -297,16 +296,6 @@ def test_physicality_floor_is_unchanged():
         GaussianState(1, np.zeros(2), np.diag([1.0 - 3.0 * PHYSICALITY_TOL, 1.0]))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_cached_i_omega_is_read_only(n):
-    i_omega = _i_omega(n)
-    assert i_omega is _i_omega(n)
-    assert np.array_equal(i_omega, 1j * symplectic_form(n))
-    assert not i_omega.flags.writeable
-    with pytest.raises(ValueError):
-        i_omega[0, 1] = 0.0
-
-
 def _reference_verdict(n, cov):
     """The covariance checks written out without a cache: None for a pass,
     else the message GaussianState must raise."""
@@ -416,7 +405,6 @@ def test_states_built_from_cached_covariances_are_read_only_copies():
         2, 2, split.cov.tobytes(), gaussian.DEGENERATE_VAR_TOL
     )
     entries = [
-        (joint, gaussian._tensor_cov(1, anc.cov.tobytes(), 1, inp.cov.tobytes())),
         (split, gaussian._bs_cov(2, 0, 1, 0.3, joint.cov.tobytes())),
         (rest, conditioned),
     ]
@@ -427,7 +415,7 @@ def test_states_built_from_cached_covariances_are_read_only_copies():
     assert not cross.flags.writeable
     assert var == split.cov[2, 2]
     # the entries are the cached objects themselves
-    assert gaussian._bs_cov(2, 0, 1, 0.3, joint.cov.tobytes()) is entries[1][1]
+    assert gaussian._bs_cov(2, 0, 1, 0.3, joint.cov.tobytes()) is entries[0][1]
 
 
 def test_degenerate_decision_reads_the_tolerance_at_call_time(monkeypatch):

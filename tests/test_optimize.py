@@ -145,6 +145,10 @@ def test_coherent_repreparation_known_phase_value():
     assert homodyne_squeezed_fidelity(1.0) == pytest.approx(2 / math.sqrt(6), abs=1e-9)
 
 
+# the alphabet widths of verify's heterodyne oracle
+VERIFY_WIDTHS = (0.5, 1.0, 1.72, 3.0, 5.0)
+
+
 def test_heterodyne_oracle_is_an_integral_not_the_closed_form():
     # off the optimum the integral must still track the exact average
     v, g = 1.72, 0.5
@@ -153,13 +157,27 @@ def test_heterodyne_oracle_is_an_integral_not_the_closed_form():
 
 
 def test_heterodyne_integrand_matches_the_plain_expression_bit_for_bit():
-    # the in-place integrand multiplies by -0.25 where this divides by -4
-    for v in (0.5, 1.0, 1.72, 3.0, 5.0):
-        xbar = math.sqrt(2.0 * 4.0 * v) * _GH_NODES[:, None]
+    # the plain half grid of one gain in the same (1, 40, 80) shape; the
+    # in-place integrand multiplies by -0.25 where this divides by -4
+    for v in VERIFY_WIDTHS:
+        xbar = math.sqrt(2.0 * 4.0 * v) * _GH_NODES[:40, None]
         for g in np.linspace(0.0, 1.0, 201).tolist():
-            delta = (g - 1.0) * xbar + g * _GH_HET_NOISE
-            plain = float(np.sum(_GH_HET_WEIGHTS * np.exp(-(delta**2) / 4.0))) ** 2
-            assert heterodyne_reprepare_fidelity(g, v) == plain
+            gain = np.full((1, 1, 1), g)
+            delta = (gain - 1.0) * xbar + gain * _GH_HET_NOISE
+            half = _GH_HET_WEIGHTS[:40] * np.exp(-(delta**2) / 4.0)
+            plain = (2.0 * half.sum(axis=(1, 2))) ** 2
+            assert heterodyne_reprepare_fidelity(g, v) == plain[0]
+
+
+def test_a_heterodyne_gain_has_the_same_bits_alone_as_an_array_and_in_a_grid():
+    gains = np.linspace(0.0, 1.0, 201)
+    for v in VERIFY_WIDTHS:
+        grid = heterodyne_reprepare_fidelity(gains, v)
+        for g, in_grid in zip(gains.tolist(), grid.tolist()):
+            alone = heterodyne_reprepare_fidelity(g, v)
+            one = heterodyne_reprepare_fidelity(np.array([g]), v)
+            assert type(alone) is float and one.shape == (1,)
+            assert alone == one[0] == in_grid, (v, g)
 
 
 def test_optimize_classical_argument_errors():

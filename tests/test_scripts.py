@@ -62,6 +62,18 @@ def test_figure4_script_prints_the_noise_report(monkeypatch, capsys):
         # named the derived gain before: "electronic gains must be finite"
         ("figure4_noise", ["--lambda-x", "nan"], "lambda_x must be finite, got nan"),
         ("figure4_noise", ["--lambda-x", "inf"], "lambda_x must be finite, got inf"),
+        # numpy's allocation traceback and exit 1 before
+        ("figure3_sweep", ["--steps", "100000000000"],
+         "--steps must lie in [1, 100000], got 100000000000"),
+        # wrote a header-only CSV and exited 0 before
+        ("figure3_sweep", ["--steps", "0"], "--steps must lie in [1, 100000], got 0"),
+        # squared the bounds and reported rows at sqrtV = 2 and 1 before
+        ("figure3_sweep", ["--sqrt-vmin", "-2", "--sqrt-vmax", "-1"],
+         "--sqrt-vmin must be positive, got -2.0"),
+        # printed "se_mc": 0.0 and exited 0 before; one trajectory has no
+        # standard error
+        ("figure4_noise", ["--trajectories", "1"],
+         "n_traj must be 0 (no Monte Carlo) or at least 2, got 1"),
     ],
 )
 def test_figure_scripts_exit_2_on_out_of_domain_input(
