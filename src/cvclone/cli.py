@@ -252,6 +252,11 @@ def cmd_mc(args) -> int:
         "analytic": {k: row["analytic"] for k, row in table.items()},
         "se": {k: row["se"] for k, row in table.items()},
         "z_scores": {k: row["z"] for k, row in table.items()},
+        # each estimate left out above, with the reason
+        "undefined": {
+            f"lambda_{q}": f"the input means carry no signal in {q}, so no gain is fitted"
+            for q in batch.no_signal
+        },
     }
     sys.stdout.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
     worst = max(abs(z) for z in report["z_scores"].values())

@@ -91,8 +91,11 @@ def reproduce_figure3(
     the i-th V.
 
     In the beam-splitter regime (zero gain) the lossy curve coincides
-    exactly with the ideal one.
+    exactly with the ideal one.  ``n_traj`` must be at least 2.
     """
+    if n_traj == 1:
+        # one trajectory has no standard error; run_batch rejects n_traj < 1
+        raise ValueError("n_traj must be at least 2, got 1")
     rows = sweep_rows(v_grid, eta_ff, visibility)
     for i, row in enumerate(rows):
         lossy = gaussian_machine(row["t1"], eta_ff, visibility)

@@ -1,31 +1,20 @@
 """Derivative-free maximisation of the fidelity objectives.
 
-Every optimisation here is a grid followed by golden-section refinement.
-Boundary optima are detected by comparing the refined interior candidate
-against the boundary value explicitly.
+Every one-dimensional optimisation is one golden-section line search over
+its whole range.  That finds the maximum of a unimodal objective, and is the
+minimax search for one (Kiefer, Proc. AMS 4, 502 (1953)); the objectives
+here are smooth and unimodal on their ranges.  Boundary optima are detected
+by comparing the refined interior candidate against the boundary value
+explicitly.  The squeezed-map search scans its whole (lambda_p, dn_x) grid
+as one broadcast pair, then refines each axis in turn by golden section.
 
-The one-dimensional grids are scanned coarse-to-fine (``_grid_then_golden``):
-every isqrt(n - 1)-th of the n points, then a window of neighbours around the
-best of those, about 3 sqrt(n) evaluations in place of n.  That finds the
-grid's argmax only on a unimodal sequence of grid values, the premise of the
-golden-section refinement too; the objectives here are smooth and unimodal on
-their ranges (Kiefer, Proc. AMS 4, 502 (1953)).  The squeezed-map search
-scans its whole (lambda_p, dn_x) grid.
-
-An objective takes each scan as one array (the squeezed-map search its grid
-as one broadcast pair), and each refinement point as a float.  The grid only
-picks the bracket, and ``np.argmax`` takes the first of equal values, so
-every reported value comes from the scalar calls alone; ``iterations``
-counts every evaluation made.  The t1 grid is still scanned point by point
-inside its objective, since the benchmark's tracer counts one
-``gaussian_alphabet_fidelity`` call per evaluation.
+The line-search objectives take a float, and ``iterations`` counts every
+evaluation made.
 
 The classical measure-and-prepare objectives are evaluated by explicit
-Gauss-Hermite integration of the single-shot fidelity, one route for a
-float and an array alike, so a gain has the same bits in a scan as in a
-refinement step.  They deliberately avoid the closed forms in
-:mod:`cvclone.benchmarks` so the two routes stay independent cross-checks
-of each other.
+Gauss-Hermite integration of the single-shot fidelity.  They deliberately
+avoid the closed forms in :mod:`cvclone.benchmarks` so the two routes stay
+independent cross-checks of each other.
 """
 
 from __future__ import annotations
@@ -48,10 +37,8 @@ _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(80)
 _GH_HET_NOISE = math.sqrt(2.0 * 2.0) * _GH_NODES[None, :]
 _GH_HET_WEIGHTS = (_GH_WEIGHTS[:, None] * _GH_WEIGHTS[None, :]) / math.pi
 _GH_HALF = len(_GH_NODES) // 2
-# grid points of the searches (the known-phase one per axis of its map grid)
-_T1_GRID_POINTS = 64
+# grid points per axis of the squeezed-map search
 _PHASE_KNOWN_GRID_POINTS = 64
-_CLASSICAL_GRID_POINTS = 201
 
 __all__ = [
     "OptimizationResult",
@@ -120,51 +107,19 @@ def golden_section_max(
     return x, f(x), evals + 1
 
 
-def _grid_then_golden(
-    f: Callable, lo: float, hi: float, grid_points: int, tol: float
-) -> tuple[float, float, int]:
-    """Golden-section refinement around the best point of an even grid.
-
-    The grid is scanned coarse-to-fine: every ``stride``-th point, with
-    stride = isqrt(grid_points - 1), then the 2 stride - 1 points centred on
-    the best of those.  On a unimodal grid the best point of that window is
-    the best point of the whole grid.  ``f`` takes each scan as one array,
-    and each refinement point as a float; the grid only picks the bracket,
-    so every reported value comes from a scalar call.
-    """
-    xs = np.linspace(lo, hi, grid_points)
-    stride = max(math.isqrt(grid_points - 1), 1)
-    coarse = xs[::stride]
-    centre = stride * int(np.argmax(f(coarse)))
-    start = max(centre - stride + 1, 0)
-    window = xs[start:centre + stride]
-    i = start + int(np.argmax(f(window)))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, grid_points - 1)]
-    x, fx, evals = golden_section_max(f, float(a), float(b), tol)
-    return x, fx, evals + len(coarse) + len(window)
-
-
 def optimize_t1(v: float) -> OptimizationResult:
     """Maximise the Gaussian-alphabet fidelity over the tap transmittance.
 
-    Coarse grid on (0, 1] then golden-section refinement, with the t1 = 1
-    boundary compared explicitly since the optimum sits there for narrow
-    alphabets.  The certificate reports gaps against the piecewise closed
-    form of the optimum.
+    Golden-section search on (0, 1], with the t1 = 1 boundary compared
+    explicitly since the optimum sits there for narrow alphabets.  The
+    certificate reports gaps against the piecewise closed form of the
+    optimum.
     """
     benchmarks.check_alphabet_variance(v)
-
-    def objective(t1):
-        # the grid arrives as one array but is scanned point by point:
-        # perfbench's tracer test counts each of ``iterations`` as one
-        # gaussian_alphabet_fidelity call
-        if isinstance(t1, np.ndarray):
-            return [benchmarks.gaussian_alphabet_fidelity(x, v) for x in t1.tolist()]
-        return benchmarks.gaussian_alphabet_fidelity(t1, v)
-
-    t1_num, f_num, evals = _grid_then_golden(objective, 1e-6, 1.0, _T1_GRID_POINTS, 1e-12)
-    f_boundary = objective(1.0)
+    t1_num, f_num, evals = golden_section_max(
+        lambda t1: benchmarks.gaussian_alphabet_fidelity(t1, v), 1e-6, 1.0, 1e-12
+    )
+    f_boundary = benchmarks.gaussian_alphabet_fidelity(1.0, v)
     evals += 1
     if f_boundary >= f_num:
         t1_num, f_num = 1.0, f_boundary
@@ -183,16 +138,15 @@ def optimize_t1(v: float) -> OptimizationResult:
     )
 
 
-def _vacuum_phase_known_fidelity(lambda_p):
+def _vacuum_phase_known_fidelity(lambda_p: float) -> float:
     # machine realisation: t1 = 2 lambda_p^2, x gain re-tuned for unit
     # amplitude gain; with vacuum ancillas sigma_p stays 1 while the tap
     # ancilla re-enters the amplitude quadrature away from lambda_p = 1/2;
-    # 0 where no machine realises lambda_p
+    # the search range keeps t1 inside (0, 1)
     t1 = 2.0 * lambda_p**2
-    inside = (0.0 < t1) & (t1 < 1.0)
-    t1 = np.where(inside, t1, 0.5)
-    sigma_x = 1.5 + (1.0 - np.sqrt(2.0 * t1)) ** 2 / (2.0 * (1.0 - t1))
-    return np.where(inside, 2.0 / np.sqrt((1.0 + sigma_x) * 2.0), 0.0)
+    d = 1.0 - math.sqrt(2.0 * t1)
+    sigma_x = 1.5 + d * d / (2.0 * (1.0 - t1))
+    return 2.0 / math.sqrt((1.0 + sigma_x) * 2.0)
 
 
 def _constrained_map_fidelity(lambda_p, dn_x):
@@ -210,10 +164,7 @@ def optimize_phase_known(constraint: str) -> OptimizationResult:
     conjugate noise on the active uncertainty floor dn_p = c / dn_x.
     """
     if constraint == "vacuum-ancillas":
-        lam, f_num, evals = _grid_then_golden(
-            _vacuum_phase_known_fidelity, 0.05, 0.70, _PHASE_KNOWN_GRID_POINTS, 1e-10
-        )
-        f_num = float(f_num)
+        lam, f_num, evals = golden_section_max(_vacuum_phase_known_fidelity, 0.05, 0.70, 1e-10)
         f_closed = 2.0 / math.sqrt(5.0)
         return OptimizationResult(
             params={"lambda_p": lam},
@@ -261,7 +212,7 @@ def _maximize_squeezed_map() -> tuple[float, float, float, int]:
     return lam, dn, f_num, evals
 
 
-def heterodyne_reprepare_fidelity(gain, v: float):
+def heterodyne_reprepare_fidelity(gain: float, v: float) -> float:
     """Average fidelity of heterodyne-and-reprepare at the given gain,
     by Gauss-Hermite integration of the single-shot overlap.
 
@@ -271,56 +222,49 @@ def heterodyne_reprepare_fidelity(gain, v: float):
     two identical quadrature averages.
 
     The nodes and weights are symmetric about 0, so the integrand at node
-    pair (i, j) equals the one at (79 - i, 79 - j) bit for bit; each gain
-    sums the first 40 rows and doubles.  An array of gains gives an array of
-    fidelities, one (40, 80) half grid per gain in one buffer, and a gain
-    has the same bits alone, as a one-element array and inside a grid.
+    pair (i, j) equals the one at (79 - i, 79 - j) bit for bit; the gain
+    sums the first 40 rows, in one (40, 80) buffer, and doubles.
     """
     benchmarks.check_alphabet_variance(v)
     xbar = math.sqrt(2.0 * 4.0 * v) * _GH_NODES[:_GH_HALF, None]
-    g = np.reshape(np.asarray(gain, float), (-1, 1, 1))
     # weights * exp(-delta^2 / 4), updated in place
-    buf = np.add((g - 1.0) * xbar, g * _GH_HET_NOISE)
+    buf = np.add((gain - 1.0) * xbar, gain * _GH_HET_NOISE)
     np.square(buf, out=buf)
     buf *= -0.25
     np.exp(buf, out=buf)
     buf *= _GH_HET_WEIGHTS[:_GH_HALF]
-    f = (2.0 * buf.sum(axis=(1, 2))) ** 2
-    return f if isinstance(gain, np.ndarray) else float(f[0])
+    f = 2.0 * float(buf.sum())
+    return f * f
 
 
-def homodyne_squeezed_fidelity(prep_var_x):
+def homodyne_squeezed_fidelity(prep_var_x: float) -> float:
     """Known-phase fidelity of homodyne-and-reprepare with a squeezed
     preparation of variances (prep_var_x, 1/prep_var_x), by Gauss-Hermite
-    integration over the unit-variance homodyne noise.  An array of
-    variances gives an array of fidelities.
+    integration over the unit-variance homodyne noise.
     """
-    s = np.asarray(prep_var_x, dtype=float)
-    if (s <= 0).any():
+    s = prep_var_x
+    if not s > 0:
         raise ValueError(f"preparation variance must be positive, got {prep_var_x}")
-    s = s[..., None]
     noise = math.sqrt(2.0) * _GH_NODES
     weights = _GH_WEIGHTS / math.sqrt(math.pi)
-    prefactor = 2.0 / np.sqrt((1.0 + s) * (1.0 + 1.0 / s))
-    f = np.sum(weights * prefactor * np.exp(-0.5 * noise**2 / (1.0 + s)), axis=-1)
-    return f if isinstance(prep_var_x, np.ndarray) else float(f)
+    prefactor = 2.0 / math.sqrt((1.0 + s) * (1.0 + 1.0 / s))
+    return float(np.sum(weights * prefactor * np.exp(-0.5 * noise**2 / (1.0 + s))))
 
 
 def optimize_classical(strategy: str, alphabet=None) -> OptimizationResult:
     """Optimise a measure-and-prepare strategy; this is the numerical oracle
     behind the closed-form classical baselines.
 
-    ``"heterodyne-reprepare"`` needs a SymmetricGaussian alphabet and scans
+    ``"heterodyne-reprepare"`` needs a SymmetricGaussian alphabet and searches
     the repreparation gain; ``"homodyne-squeezed"`` (known-phase alphabet)
-    scans the preparation squeezing.
+    searches the preparation squeezing.
     """
     if strategy == "heterodyne-reprepare":
         if not isinstance(alphabet, SymmetricGaussian):
             raise ValueError("heterodyne-reprepare requires a SymmetricGaussian alphabet")
         v = alphabet.variance
-        gain, f_num, evals = _grid_then_golden(
-            lambda g: heterodyne_reprepare_fidelity(g, v),
-            0.0, 1.0, _CLASSICAL_GRID_POINTS, 1e-10,
+        gain, f_num, evals = golden_section_max(
+            lambda g: heterodyne_reprepare_fidelity(g, v), 0.0, 1.0, 1e-10
         )
         closed = benchmarks.classical_gaussian_alphabet(v)
         return OptimizationResult(
@@ -332,9 +276,7 @@ def optimize_classical(strategy: str, alphabet=None) -> OptimizationResult:
     if strategy == "homodyne-squeezed":
         if alphabet is not None and not isinstance(alphabet, KnownPhase):
             raise ValueError("homodyne-squeezed requires the known-phase alphabet")
-        s_x, f_num, evals = _grid_then_golden(
-            homodyne_squeezed_fidelity, 0.05, 8.0, _CLASSICAL_GRID_POINTS, 1e-10
-        )
+        s_x, f_num, evals = golden_section_max(homodyne_squeezed_fidelity, 0.05, 8.0, 1e-10)
         closed = benchmarks.classical_known_phase()
         return OptimizationResult(
             params={"prep_var_x": s_x, "prep_var_p": 1.0 / s_x},

@@ -307,6 +307,22 @@ def test_mc_phase_known_run(capsys):
 
 
 @pytest.mark.parametrize(
+    "machine, undefined", [(["--phase-known"], {"lambda_p"}), (["--V", "1.72"], set())]
+)
+def test_mc_names_each_undefined_estimate_with_a_reason(capsys, machine, undefined):
+    # the phase-known JSON left lambda_p out with no word before
+    code, out, _ = run_cli(capsys, "mc", *machine, "--trajectories", "2000", "--seed", "3")
+    assert code == 0
+    report = json.loads(out)
+    assert set(report["undefined"]) == undefined
+    assert all("no signal" in reason for reason in report["undefined"].values())
+    assert set(report["empirical"]) | undefined == {
+        "lambda_x", "lambda_p", "sigma_x", "sigma_p", "fidelity"
+    }
+    assert not set(report["empirical"]) & undefined
+
+
+@pytest.mark.parametrize(
     "flag, value", [("eta", "0"), ("visibility", "0"), ("eta", "nan"), ("visibility", "1.5")]
 )
 def test_mc_rejects_bad_loss_parameters(capsys, flag, value):

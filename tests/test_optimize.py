@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -61,14 +60,6 @@ def test_optimize_t1_certificate_over_grid():
         res = optimize_t1(float(v))
         assert res.certificate["t1"] <= 1e-4
         assert res.certificate["fidelity"] <= 1e-6
-
-
-def test_optimize_t1_stable_under_grid_doubling(monkeypatch):
-    coarse = optimize_t1(1.3)
-    monkeypatch.setattr(optimize, "_T1_GRID_POINTS", 2 * optimize._T1_GRID_POINTS)
-    fine = optimize_t1(1.3)
-    assert coarse.f_value == pytest.approx(fine.f_value, abs=1e-6)
-    assert coarse.params.t1 == pytest.approx(fine.params.t1, abs=1e-6)
 
 
 def test_optimize_t1_beats_random_search():
@@ -157,27 +148,17 @@ def test_heterodyne_oracle_is_an_integral_not_the_closed_form():
 
 
 def test_heterodyne_integrand_matches_the_plain_expression_bit_for_bit():
-    # the plain half grid of one gain in the same (1, 40, 80) shape; the
+    # the plain half grid of one gain in the same (40, 80) shape; the
     # in-place integrand multiplies by -0.25 where this divides by -4
     for v in VERIFY_WIDTHS:
         xbar = math.sqrt(2.0 * 4.0 * v) * _GH_NODES[:40, None]
         for g in np.linspace(0.0, 1.0, 201).tolist():
-            gain = np.full((1, 1, 1), g)
-            delta = (gain - 1.0) * xbar + gain * _GH_HET_NOISE
+            delta = (g - 1.0) * xbar + g * _GH_HET_NOISE
             half = _GH_HET_WEIGHTS[:40] * np.exp(-(delta**2) / 4.0)
-            plain = (2.0 * half.sum(axis=(1, 2))) ** 2
-            assert heterodyne_reprepare_fidelity(g, v) == plain[0]
-
-
-def test_a_heterodyne_gain_has_the_same_bits_alone_as_an_array_and_in_a_grid():
-    gains = np.linspace(0.0, 1.0, 201)
-    for v in VERIFY_WIDTHS:
-        grid = heterodyne_reprepare_fidelity(gains, v)
-        for g, in_grid in zip(gains.tolist(), grid.tolist()):
-            alone = heterodyne_reprepare_fidelity(g, v)
-            one = heterodyne_reprepare_fidelity(np.array([g]), v)
-            assert type(alone) is float and one.shape == (1,)
-            assert alone == one[0] == in_grid, (v, g)
+            # squared by a product: a float's ** 2 calls pow, which can
+            # round differently
+            f = 2.0 * half.sum()
+            assert heterodyne_reprepare_fidelity(g, v) == f * f
 
 
 def test_optimize_classical_argument_errors():
@@ -198,38 +179,6 @@ def test_optimizer_dominates_random_known_phase_draws():
         assert f <= res.f_value + 1e-9
 
 
-# the grids as the optimisers lay them out, each scanned point by point
-# with the scalar objective (the loops the array calls replace) and in one
-# array call; the grid only picks the golden-section bracket, so the two
-# must pick the same point
-WIDTHS = np.geomspace(0.01, 100.0, 300).tolist()
-
-
-def _argmax_per_point(f, xs):
-    return int(np.argmax([f(x) for x in xs.tolist()]))
-
-
-def test_heterodyne_grid_picks_the_per_point_argmax():
-    gains = np.linspace(0.0, 1.0, 201)
-    for v in WIDTHS:
-        expected = _argmax_per_point(lambda g: heterodyne_reprepare_fidelity(g, v), gains)
-        assert int(np.argmax(heterodyne_reprepare_fidelity(gains, v))) == expected, v
-
-
-def test_heterodyne_array_route_agrees_with_the_scalar_route():
-    gains = np.linspace(0.0, 1.0, 201)
-    for v in (0.01, 1.72, 100.0):
-        scalar = [heterodyne_reprepare_fidelity(g, v) for g in gains.tolist()]
-        assert np.allclose(heterodyne_reprepare_fidelity(gains, v), scalar, rtol=1e-14, atol=0)
-
-
-def test_homodyne_grid_picks_the_per_point_argmax():
-    for n in range(2, 302):
-        s = np.linspace(0.05, 8.0, n)
-        expected = _argmax_per_point(homodyne_squeezed_fidelity, s)
-        assert int(np.argmax(homodyne_squeezed_fidelity(s))) == expected, n
-
-
 def test_squeezed_map_grid_picks_the_first_per_point_maximum():
     for n in range(2, 66):
         lams = np.linspace(0.10, 0.95, n)
@@ -244,63 +193,39 @@ def test_squeezed_map_grid_picks_the_first_per_point_maximum():
         assert np.unravel_index(np.argmax(grid), grid.shape) == expected, n
 
 
-def _full_grid_then_golden(f, lo, hi, grid_points, tol):
-    # the reference scan: every grid point in one array call
-    xs = np.linspace(lo, hi, grid_points)
-    i = int(np.argmax(f(xs)))
-    a, b = xs[max(i - 1, 0)], xs[min(i + 1, grid_points - 1)]
-    x, fx, evals = golden_section_max(f, float(a), float(b), tol)
-    return x, fx, evals + grid_points
-
-
-def test_coarse_to_fine_scan_brackets_the_peak_of_any_lopsided_unimodal_grid():
-    # a slow rise to the grid point j and a steep fall after it (and the
-    # mirror image), so the best coarse point can sit a whole stride away
-    for n in [*range(2, 40), 64, 128, 201]:
-        xs = np.linspace(0.0, 1.0, n)
-        for j, slope in itertools.product(range(n), (1e3, -1e3)):
-            def f(x, peak=xs[j], slope=slope):
-                d = x - peak
-                return -np.where(d * slope > 0, abs(slope) * abs(d), 1e-3 * abs(d))
-
-            full = _full_grid_then_golden(f, 0.0, 1.0, n, 1e-6)
-            x, fx, _ = optimize._grid_then_golden(f, 0.0, 1.0, n, 1e-6)
-            assert (x, fx) == full[:2], (n, j, slope)
-
-
 def _searches():
-    # every caller of _grid_then_golden, over the widths the optimisers see
-    t1_widths = np.geomspace(1e-3, 1e3, 400).tolist() + np.arange(0.2, 5.01, 0.2).tolist()
+    # every 1-D search with its objective and whole range, over the widths
+    # the optimisers see
+    t1_widths = np.geomspace(1e-6, 1e15, 400).tolist() + np.arange(0.2, 5.01, 0.2).tolist()
     for v in t1_widths:
-        yield f"t1 V={v}", lambda v=v: optimize_t1(v)
-    for v in WIDTHS:
-        yield f"heterodyne V={v}", lambda v=v: optimize_classical(
-            "heterodyne-reprepare", SymmetricGaussian(v)
-        )
-    yield "homodyne", lambda: optimize_classical("homodyne-squeezed")
-    yield "vacuum phase-known", lambda: optimize_phase_known("vacuum-ancillas")
+        yield (f"t1 V={v}", lambda v=v: optimize_t1(v),
+               lambda t1, v=v: gaussian_alphabet_fidelity(t1, v), 1e-6, 1.0)
+    for v in np.geomspace(0.01, 100.0, 40).tolist():
+        yield (f"heterodyne V={v}",
+               lambda v=v: optimize_classical("heterodyne-reprepare", SymmetricGaussian(v)),
+               lambda g, v=v: heterodyne_reprepare_fidelity(g, v), 0.0, 1.0)
+    yield ("homodyne", lambda: optimize_classical("homodyne-squeezed"),
+           homodyne_squeezed_fidelity, 0.05, 8.0)
+    yield ("vacuum phase-known", lambda: optimize_phase_known("vacuum-ancillas"),
+           optimize._vacuum_phase_known_fidelity, 0.05, 0.70)
 
 
-def _fields(res):
-    return res.params, res.f_value, res.certificate
-
-
-def test_coarse_to_fine_scan_gives_the_full_grid_results(monkeypatch):
-    scanned = [(name, _fields(search())) for name, search in _searches()]
-    monkeypatch.setattr(optimize, "_grid_then_golden", _full_grid_then_golden)
-    for (name, fields), (_, search) in zip(scanned, _searches()):
-        assert fields == _fields(search()), name
+def test_every_line_search_reaches_the_best_point_of_a_dense_scan():
+    # the premise of golden section is a unimodal objective; a scan of the
+    # whole range, one float at a time, finds no better point than the search
+    for name, search, objective, lo, hi in _searches():
+        best = max(objective(x) for x in np.linspace(lo, hi, 201).tolist())
+        assert search().f_value >= best - 1e-12, name
 
 
 def _counting(monkeypatch, owner, name):
-    # counts each point of an array argument as one evaluation
     calls = 0
     original = getattr(owner, name)
 
-    def counted(x, *args):
+    def counted(*args):
         nonlocal calls
-        calls += len(x) if isinstance(x, np.ndarray) else 1
-        return original(x, *args)
+        calls += 1
+        return original(*args)
 
     monkeypatch.setattr(owner, name, counted)
     return lambda: calls

@@ -74,6 +74,9 @@ def test_figure4_script_prints_the_noise_report(monkeypatch, capsys):
         # standard error
         ("figure4_noise", ["--trajectories", "1"],
          "n_traj must be 0 (no Monte Carlo) or at least 2, got 1"),
+        # wrote "se_mc" 0.0 and exited 0 before
+        ("figure3_sweep", ["--trajectories", "1", "--steps", "2"],
+         "n_traj must be at least 2, got 1"),
     ],
 )
 def test_figure_scripts_exit_2_on_out_of_domain_input(
