@@ -240,7 +240,7 @@ def phase_known_optimal_bound() -> PhaseKnownBound:
     )
 
 
-def known_phase_map_fidelity(lambda_p, dn_x, dn_p):
+def known_phase_map_fidelity(lambda_p: float, dn_x: float, dn_p: float) -> float:
     """Known-phase fidelity of a generic unit-amplitude-gain Gaussian map.
 
     Output variances are sigma_x = 1 + dn_x and
@@ -249,10 +249,8 @@ def known_phase_map_fidelity(lambda_p, dn_x, dn_p):
         F = 2 / sqrt((2 + dn_x)(1 + lambda_p^2 (1 + dn_p))).
 
     No constraint between the noises is enforced here; feasibility is the
-    optimizer's job.  Array arguments broadcast to an array of fidelities.
+    optimizer's job.  Floats in, one float out.
     """
-    negative = (dn_x < 0) | (dn_p < 0)
-    if negative.any() if isinstance(negative, np.ndarray) else negative:
+    if dn_x < 0 or dn_p < 0:
         raise ValueError("referred noise variances must be non-negative")
-    product = (2.0 + dn_x) * (1.0 + lambda_p**2 * (1.0 + dn_p))
-    return 2.0 / (np.sqrt(product) if isinstance(product, np.ndarray) else math.sqrt(product))
+    return 2.0 / math.sqrt((2.0 + dn_x) * (1.0 + lambda_p**2 * (1.0 + dn_p)))

@@ -220,7 +220,7 @@ def cmd_mc(args) -> int:
     if n_traj is None:
         raise UsageError("mc requires --trajectories")
     if n_traj < 2:
-        # one trajectory has no standard error, so every z-score would be inf
+        # one trajectory has no standard error; run_batch's check names n_traj
         raise UsageError(f"trajectories must be at least 2, got {n_traj}")
     seed = args.seed
     if seed is None:

@@ -202,13 +202,12 @@ class CloneStatistics:
         return (self.sigma_x - lx2) / lx2, (self.sigma_p - lp2) / lp2
 
 
-def matched_gain(t1):
+def matched_gain(t1: float) -> float:
     """Electronic gain sqrt(2(1-t1)/t1) that cancels the tap ancilla at
-    t2 = 1/2 and yields amplitude gain 1/sqrt(2 t1).  ``t1`` may be an
-    array of transmittances."""
+    t2 = 1/2 and yields amplitude gain 1/sqrt(2 t1); one float in, one
+    float out."""
     check_fraction("t1", t1)
-    sqrt = np.sqrt if isinstance(t1, np.ndarray) else math.sqrt
-    return sqrt(2.0 * (1.0 - t1) / t1)
+    return math.sqrt(2.0 * (1.0 - t1) / t1)
 
 
 def gaussian_machine(

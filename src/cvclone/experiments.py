@@ -93,9 +93,6 @@ def reproduce_figure3(
     In the beam-splitter regime (zero gain) the lossy curve coincides
     exactly with the ideal one.  ``n_traj`` must be at least 2.
     """
-    if n_traj == 1:
-        # one trajectory has no standard error; run_batch rejects n_traj < 1
-        raise ValueError("n_traj must be at least 2, got 1")
     rows = sweep_rows(v_grid, eta_ff, visibility)
     for i, row in enumerate(rows):
         lossy = gaussian_machine(row["t1"], eta_ff, visibility)
@@ -209,7 +206,7 @@ def verification_checks() -> list[tuple[str, float, float]]:
     checks.append(("classical-gaussian-oracle", max(gaps), 1e-6))
 
     t1 = np.linspace(0.05, 1.0, 39)
-    g = matched_gain(t1)
+    g = [matched_gain(t) for t in t1.tolist()]
     stats = batched_clone_stats(_machines(t1=t1, g_x=g, g_p=g))
     law = 1.0 / np.sqrt(2.0 * t1)
     gaps = np.maximum(abs(stats.lambda_x - law), abs(stats.lambda_p - law))

@@ -256,14 +256,14 @@ def _statistics(fits: list, n: int, cond_var) -> dict:
             out["no_signal"] += (name,)
         else:
             lam, sig = fit
-            se_lam = math.sqrt(sig[2] / max(n - 1, 1) / sig[0])
+            se_lam = math.sqrt(sig[2] / (n - 1) / sig[0])
         out[f"lambda_{name}"] = lam
         out[f"se_lambda_{name}"] = se_lam
         out[f"sigma_{name}"] = cond_var[q] + sig[2] / n
-        out[f"se_sigma_{name}"] = math.sqrt(max(sig[4], 0.0) / (n - 1) / n) if n > 1 else 0.0
+        out[f"se_sigma_{name}"] = math.sqrt(max(sig[4], 0.0) / (n - 1) / n)
     f_hat, f_sums = fits[4]
     out["f_hat"] = f_hat
-    out["se_f"] = math.sqrt(f_sums[2] / (n - 1) / n) if n > 1 else 0.0
+    out["se_f"] = math.sqrt(f_sums[2] / (n - 1) / n)
     return out
 
 
@@ -306,12 +306,13 @@ def run_batch(
     (seed, block), simulate their rows (``_simulate_block``) and reduce them
     at once to a few dozen sums, which are merged in block order; no
     per-trajectory array outlives its block, so memory does not grow with
-    ``n_traj``.  ``n_traj`` may be at most ``MAX_TRAJECTORIES``, which bounds
-    the run time.  ``seed`` must be non-negative and ``elec_noise`` finite
+    ``n_traj``.  ``n_traj`` must be at least 2, since one trajectory has no
+    standard error, and at most ``MAX_TRAJECTORIES``, which bounds the run
+    time.  ``seed`` must be non-negative and ``elec_noise`` finite
     and non-negative.
     """
-    if not 1 <= n_traj <= MAX_TRAJECTORIES:
-        raise ValueError(f"n_traj must lie in [1, {MAX_TRAJECTORIES}], got {n_traj}")
+    if not 2 <= n_traj <= MAX_TRAJECTORIES:
+        raise ValueError(f"n_traj must lie in [2, {MAX_TRAJECTORIES}], got {n_traj}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
 
@@ -364,40 +365,25 @@ def compare_with_analytic(batch: TrajectoryBatch) -> dict[str, dict[str, float]]
     1e-12 counts as an exact match regardless of the standard error.
     """
     stats = heisenberg_clone_stats(batch.config, batch.elec_noise)
-    analytic = {
-        "lambda_x": stats.lambda_x,
-        "lambda_p": stats.lambda_p,
-        "sigma_x": stats.sigma_x,
-        "sigma_p": stats.sigma_p,
-        "fidelity": average_fidelity(stats, batch.alphabet),
-    }
-    empirical = {
-        "lambda_x": batch.lambda_x,
-        "lambda_p": batch.lambda_p,
-        "sigma_x": batch.sigma_x,
-        "sigma_p": batch.sigma_p,
-        "fidelity": batch.f_hat,
-    }
-    ses = {
-        "lambda_x": batch.se_lambda_x,
-        "lambda_p": batch.se_lambda_p,
-        "sigma_x": batch.se_sigma_x,
-        "sigma_p": batch.se_sigma_p,
-        "fidelity": batch.se_f,
-    }
+    rows = (
+        ("lambda_x", batch.lambda_x, batch.se_lambda_x, stats.lambda_x),
+        ("lambda_p", batch.lambda_p, batch.se_lambda_p, stats.lambda_p),
+        ("sigma_x", batch.sigma_x, batch.se_sigma_x, stats.sigma_x),
+        ("sigma_p", batch.sigma_p, batch.se_sigma_p, stats.sigma_p),
+        ("fidelity", batch.f_hat, batch.se_f, average_fidelity(stats, batch.alphabet)),
+    )
     table: dict[str, dict[str, float]] = {}
-    for name, emp in empirical.items():
+    for name, emp, se, exact in rows:
         if math.isnan(emp):
             if name.startswith("lambda_") and name[-1] in batch.no_signal:
                 continue
             raise ValueError(f"Monte Carlo estimate {name} is NaN")
-        diff = emp - analytic[name]
-        se = ses[name]
+        diff = emp - exact
         if abs(diff) < 1e-12:
             z = 0.0
         elif se > 0:
             z = diff / se
         else:
             z = math.inf
-        table[name] = {"empirical": emp, "analytic": analytic[name], "se": se, "z": z}
+        table[name] = {"empirical": emp, "analytic": exact, "se": se, "z": z}
     return table

@@ -5,11 +5,11 @@ its whole range.  That finds the maximum of a unimodal objective, and is the
 minimax search for one (Kiefer, Proc. AMS 4, 502 (1953)); the objectives
 here are smooth and unimodal on their ranges.  Boundary optima are detected
 by comparing the refined interior candidate against the boundary value
-explicitly.  The squeezed-map search scans its whole (lambda_p, dn_x) grid
-as one broadcast pair, then refines each axis in turn by golden section.
+explicitly.  The two-dimensional squeezed-map search alternates such line
+searches over the whole range of each axis in turn.
 
-The line-search objectives take a float, and ``iterations`` counts every
-evaluation made.
+Every objective takes floats and returns a float, and ``iterations`` counts
+every evaluation made.
 
 The classical measure-and-prepare objectives are evaluated by explicit
 Gauss-Hermite integration of the single-shot fidelity.  They deliberately
@@ -37,8 +37,10 @@ _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(80)
 _GH_HET_NOISE = math.sqrt(2.0 * 2.0) * _GH_NODES[None, :]
 _GH_HET_WEIGHTS = (_GH_WEIGHTS[:, None] * _GH_WEIGHTS[None, :]) / math.pi
 _GH_HALF = len(_GH_NODES) // 2
-# grid points per axis of the squeezed-map search
-_PHASE_KNOWN_GRID_POINTS = 64
+# homodyne_squeezed_fidelity's nodes: unit-variance homodyne noise, the
+# weights normalised by sqrt(pi)
+_GH_HOM_NOISE = math.sqrt(2.0) * _GH_NODES
+_GH_HOM_WEIGHTS = _GH_WEIGHTS / math.sqrt(math.pi)
 
 __all__ = [
     "OptimizationResult",
@@ -149,10 +151,9 @@ def _vacuum_phase_known_fidelity(lambda_p: float) -> float:
     return 2.0 / math.sqrt((1.0 + sigma_x) * 2.0)
 
 
-def _constrained_map_fidelity(lambda_p, dn_x):
+def _constrained_map_fidelity(lambda_p: float, dn_x: float) -> float:
     # noise floor c = max(1, ((1-lambda_p)/lambda_p)^2) taken at equality
-    ratio = ((1.0 - lambda_p) / lambda_p) ** 2
-    c = np.maximum(1.0, ratio) if isinstance(ratio, np.ndarray) else max(1.0, ratio)
+    c = max(1.0, ((1.0 - lambda_p) / lambda_p) ** 2)
     return known_phase_map_fidelity(lambda_p, dn_x, c / dn_x)
 
 
@@ -192,22 +193,14 @@ def optimize_phase_known(constraint: str) -> OptimizationResult:
 
 
 def _maximize_squeezed_map() -> tuple[float, float, float, int]:
-    lams = np.linspace(0.10, 0.95, _PHASE_KNOWN_GRID_POINTS)
-    dns = np.linspace(0.05, 3.0, _PHASE_KNOWN_GRID_POINTS)
-    # argmax takes the first of equal values, in row-major (lambda_p, dn) order
-    grid = _constrained_map_fidelity(lams[:, None], dns[None, :])
-    i, j = np.unravel_index(np.argmax(grid), grid.shape)
-    lam, dn = float(lams[i]), float(dns[j])
-    evals = _PHASE_KNOWN_GRID_POINTS * _PHASE_KNOWN_GRID_POINTS
-    # alternate 1-D golden refinements; the objective is smooth and the
-    # optimum interior, two passes land well inside 1e-6
+    # cyclic coordinate ascent: a golden-section search over the whole
+    # lambda_p range, then over the whole dn_x range, three times.  From each
+    # of 300 dn_x starts across the range three passes reach the optimum;
+    # two passes miss it from 28.
+    dn, evals = (0.05 + 3.0) / 2.0, 0
     for _ in range(3):
-        lam, _, e1 = golden_section_max(
-            lambda L: _constrained_map_fidelity(L, dn), max(lam - 0.1, 0.01), min(lam + 0.1, 0.99), 1e-10
-        )
-        dn, f_num, e2 = golden_section_max(
-            lambda u: _constrained_map_fidelity(lam, u), max(dn - 0.3, 1e-3), dn + 0.3, 1e-10
-        )
+        lam, _, e1 = golden_section_max(lambda L: _constrained_map_fidelity(L, dn), 0.10, 0.95, 1e-10)
+        dn, f_num, e2 = golden_section_max(lambda u: _constrained_map_fidelity(lam, u), 0.05, 3.0, 1e-10)
         evals += e1 + e2
     return lam, dn, f_num, evals
 
@@ -245,10 +238,8 @@ def homodyne_squeezed_fidelity(prep_var_x: float) -> float:
     s = prep_var_x
     if not s > 0:
         raise ValueError(f"preparation variance must be positive, got {prep_var_x}")
-    noise = math.sqrt(2.0) * _GH_NODES
-    weights = _GH_WEIGHTS / math.sqrt(math.pi)
     prefactor = 2.0 / math.sqrt((1.0 + s) * (1.0 + 1.0 / s))
-    return float(np.sum(weights * prefactor * np.exp(-0.5 * noise**2 / (1.0 + s))))
+    return float(np.sum(_GH_HOM_WEIGHTS * prefactor * np.exp(-0.5 * _GH_HOM_NOISE**2 / (1.0 + s))))
 
 
 def optimize_classical(strategy: str, alphabet=None) -> OptimizationResult:

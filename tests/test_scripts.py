@@ -52,7 +52,7 @@ def test_figure4_script_prints_the_noise_report(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "name, argv, message",
     [
-        ("figure3_sweep", ["--trajectories", "0"], "n_traj must lie in [1, 100000000], got 0"),
+        ("figure3_sweep", ["--trajectories", "0"], "n_traj must lie in [2, 100000000], got 0"),
         ("figure4_noise", ["--eta", "0"], "eta_ff must lie in (0, 1], got 0.0"),
         # exit 0 with no f_mc before; 0 still skips the Monte Carlo
         ("figure4_noise", ["--trajectories", "-3"],
@@ -76,7 +76,7 @@ def test_figure4_script_prints_the_noise_report(monkeypatch, capsys):
          "n_traj must be 0 (no Monte Carlo) or at least 2, got 1"),
         # wrote "se_mc" 0.0 and exited 0 before
         ("figure3_sweep", ["--trajectories", "1", "--steps", "2"],
-         "n_traj must be at least 2, got 1"),
+         "n_traj must lie in [2, 100000000], got 1"),
     ],
 )
 def test_figure_scripts_exit_2_on_out_of_domain_input(
